@@ -1,23 +1,27 @@
 """Flagship pipeline: read pages → extract → langid/quality → detect/scrub →
 decide (SURVEY.md section 3.5).
 
-Stage shapes (all streaming, no mid-pipeline materialisation):
+The four stage kernels run in turn on each read block inside ONE
+``map_batches(batch_size=None)`` call fused with the read: one task per read
+block, so every CPU gets work. Any ``batch_size`` would make Ray bundle read
+blocks up to that many rows per task, which idles cores on inputs of a few
+blocks.
 
-- extract: stateless ``map_batches`` tasks, Arrow in/out; drops the wide
-  ``html`` column immediately (object-store memory rule);
-- langquality: actor pool (model state built once per actor);
-- detect/scrub: stateless tasks with a process-cached compiled registry and a
-  fused any-hit prefilter;
+- extract: Arrow in/out; drops the wide ``html`` column immediately, so it
+  never leaves the task (object-store memory rule);
+- langquality: per-process cached model state in task mode; in actor-pool
+  mode (``QualityChain``) the model is built once per actor;
+- detect/scrub: process-cached compiled registry and a fused any-hit
+  prefilter;
 - decide: vectorized pyarrow.compute fusion.
-
-Batch sizes: the extract stage uses a smaller batch because rows still carry
-``html`` binary payloads; downstream batches are text-only and can be larger.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+import pyarrow as pa
 import ray.data
 
 from safe_zone_ray.quality import QualityConfig
@@ -36,8 +40,6 @@ class PipelineConfig:
     guardrails: tuple[str, ...] = ()
     allowed_langs: tuple[str, ...] = ("en",)
     quality: QualityConfig = field(default_factory=QualityConfig)
-    extract_batch_size: int = 512        # rows still carry html binary
-    text_batch_size: int = 2048          # text-only rows
     langquality_concurrency: int | None = None  # None → size to the cluster
     # Actor pool vs stateless tasks for the langquality stage: the model
     # state here is cheap to build, so tasks + per-process cache scale better
@@ -75,6 +77,26 @@ class PipelineConfig:
         return max(2, (os.cpu_count() or 8) - 1)
 
 
+def run_chain(batch: pa.Table, stages) -> pa.Table:
+    """Run one block through each ``(kernel, kwargs)`` stage in turn."""
+    for fn, kwargs in stages:
+        batch = fn(batch, **kwargs)
+    return batch
+
+
+class QualityChain:
+    """Actor-pool form of ``run_chain``: the langquality model state (a
+    fastText file, a corpus-trained LM) is built once per actor and slotted
+    in after extract."""
+
+    def __init__(self, stages, config, word_lm=None, model_path=None):
+        lq = LangQualityStage(config, model_path=model_path, word_lm=word_lm)
+        self.stages = (stages[0], (lq, {}), *stages[1:])
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return run_chain(batch, self.stages)
+
+
 def build_quality_filter(
     pages: ray.data.Dataset | str,
     cfg: PipelineConfig | None = None,
@@ -90,53 +112,46 @@ def build_quality_filter(
     if isinstance(pages, str):
         pages = read_pages(pages, include_paths=include_paths)
 
-    ds = pages.map_batches(
-        extract_batch, batch_format="pyarrow", batch_size=cfg.extract_batch_size
-    )
-    if cfg.langquality_actor_pool or word_lm is not None or cfg.fasttext_model_path:
-        # model-holding stages are actor pools: the (possibly corpus-trained)
-        # LM is serialized once per actor, never per batch; a fastText model
-        # file is read from disk once per actor in __init__
-        ds = ds.map_batches(
-            LangQualityStage,
-            fn_constructor_kwargs={
-                "config": cfg.quality,
-                "word_lm": word_lm,
-                "model_path": cfg.fasttext_model_path,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.text_batch_size,
-            # autoscaling actor pool: small jobs don't pay full pool
-            # spin-up, large jobs grow to the cluster
-            concurrency=(1, cfg.resolved_concurrency()),
-        )
-    else:
-        from safe_zone_ray.stages.langquality import langquality_batch
-
-        ds = ds.map_batches(
-            langquality_batch,
-            fn_kwargs={"config": cfg.quality},
-            batch_format="pyarrow",
-            batch_size=cfg.text_batch_size,
-        )
-    ds = ds.map_batches(
+    # kernels are resolved by name here, at build time, and shipped as
+    # values: whatever the names are bound to now (e.g. a tracing wrapper)
+    # is what runs
+    extract = (extract_batch, {})
+    detect = (
         detect_scrub_batch,
-        fn_kwargs={
+        {
             "registry_path": cfg.registry_path,
             "mode": cfg.mode,
             "guardrails": cfg.guardrails,
             "context_scoring": cfg.context_scoring,
         },
-        batch_format="pyarrow",
-        batch_size=cfg.text_batch_size,
     )
-    ds = ds.map_batches(
-        decide_batch,
-        fn_kwargs={"allowed_langs": cfg.allowed_langs},
+    decide = (decide_batch, {"allowed_langs": cfg.allowed_langs})
+    if cfg.langquality_actor_pool or word_lm is not None or cfg.fasttext_model_path:
+        # the (possibly corpus-trained) LM is serialized once per actor, never
+        # per batch; a fastText model file is read once per actor
+        return pages.map_batches(
+            QualityChain,
+            fn_constructor_kwargs={
+                "stages": (extract, detect, decide),
+                "config": cfg.quality,
+                "word_lm": word_lm,
+                "model_path": cfg.fasttext_model_path,
+            },
+            batch_format="pyarrow",
+            batch_size=None,
+            # autoscaling actor pool: small jobs don't pay full pool
+            # spin-up, large jobs grow to the cluster
+            concurrency=(1, cfg.resolved_concurrency()),
+        )
+    from safe_zone_ray.stages.langquality import langquality_batch
+
+    lq = (langquality_batch, {"config": cfg.quality})
+    return pages.map_batches(
+        run_chain,
+        fn_kwargs={"stages": (extract, lq, detect, decide)},
         batch_format="pyarrow",
-        batch_size=cfg.text_batch_size,
+        batch_size=None,
     )
-    return ds
 
 
 def per_host_stats(decisions: ray.data.Dataset, salt_buckets: int = 16) -> ray.data.Dataset:
@@ -432,6 +447,32 @@ def keep_rate_by_length_bucket(decisions: "ray.data.Dataset"):
     )
 
 
+# largest count c whose pair count c*(c-1) fits int64 (~3.04e9)
+_MAX_PAIR_COUNT = (1 + math.isqrt(1 + 4 * (2**63 - 1))) // 2
+
+
+def _widen_lang_counts(t: pa.Table) -> pa.Table:
+    """(host, lang_id, sum(c)) → (host, c, c2 = c*(c-1), one) for the
+    host-keyed fold of ``host_lang_diversity``. Checks c before the product
+    can wrap int64."""
+    import numpy as np
+
+    c = t.column("sum(c)").to_numpy(zero_copy_only=False).astype(np.int64)
+    if len(c) and int(c.max()) > _MAX_PAIR_COUNT:
+        raise OverflowError(
+            "host_lang_diversity: a (host, lang) count exceeds the int64 "
+            "pair-count range; shard the host key before the fold"
+        )
+    return pa.table(
+        {
+            "host": t.column("host"),
+            "c": pa.array(c),
+            "c2": pa.array(c * (c - 1)),
+            "one": pa.array(np.ones(len(c), dtype=np.int64)),
+        }
+    )
+
+
 def host_lang_diversity(decisions: "ray.data.Dataset"):
     """Per-host language diversity over the flagship decisions: document
     count, distinct language count, and an exact-integer Simpson collision
@@ -464,21 +505,8 @@ def host_lang_diversity(decisions: "ray.data.Dataset"):
         .sum("c")
     )
 
-    def widen(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        c = t.column("sum(c)").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "host": t.column("host"),
-                "c": pa.array(c),
-                "c2": pa.array(c * (c - 1)),
-                "one": pa.array(np.ones(len(c), dtype=np.int64)),
-            }
-        )
-
     folded = (
-        per_lang.map_batches(widen, batch_format="pyarrow")
+        per_lang.map_batches(_widen_lang_counts, batch_format="pyarrow")
         .groupby("host")
         .sum(["c", "c2", "one"])
     )
@@ -493,7 +521,10 @@ def host_lang_diversity(decisions: "ray.data.Dataset"):
         # c2 <= n*(n-1), so the ppm numerator wraps int64 once a single host
         # holds > ~3.04M docs; fail loudly (as the DuckDB twin would on
         # BIGINT overflow) instead of emitting wrapped garbage
-        if len(c2) and int(c2.max()) > (2**63 - 1) // 1_000_000:
+        # (n <= _MAX_PAIR_COUNT also rules out a wrapped sum(c2) or denom)
+        if len(c2) and (
+            int(c2.max()) > (2**63 - 1) // 1_000_000 or int(n.max()) > _MAX_PAIR_COUNT
+        ):
             raise OverflowError(
                 "host_lang_diversity: per-host pair count exceeds the exact "
                 "int64 ppm range; shard the host key before the fold"

@@ -15,8 +15,13 @@ import pyarrow as pa
 from safe_zone_ray.extract import extract_text
 
 
+# ``_host_of`` as one RE2 kernel: everything up to the FIRST "://" (if any)
+# is the scheme, the host runs to the next "/"
+_HOST_RE = r"(?s)^(?:.*?://)?(?P<host>[^/]*)"
+
+
 def _host_of(url: str) -> str:
-    # scheme://host/...  — cheap string slicing, no urllib overhead per row
+    """Per-row reference for ``_HOST_RE`` (pinned by tests/test_extract_arrow.py)."""
     i = url.find("://")
     start = i + 3 if i >= 0 else 0
     j = url.find("/", start)
@@ -26,40 +31,35 @@ def _host_of(url: str) -> str:
 def extract_batch(batch: pa.Table) -> pa.Table:
     """pages(url, warc_ts, html, text, lang) →
     (url, warc_ts, text_extracted, claimed_lang, host)."""
-    import numpy as np
     import pyarrow.compute as pc
 
-    urls = batch.column("url").to_pylist()
-    texts = batch.column("text").to_pylist()
-    # only null-text rows pay for html materialisation + extraction — the
-    # wide binary column is never copied for rows that already carry text.
-    # Extraction itself is the vectorized Arrow RE2 chain
+    # rows that already carry text stay in Arrow untouched; only null-text
+    # rows pay for html materialisation + extraction, and their results are
+    # scattered back in. Extraction itself is the vectorized Arrow RE2 chain
     # (extract.extract_text_column); per-row Python only for rows the
     # vectorized path can't express exactly (entities / exotic whitespace /
     # invalid UTF-8).
-    null_idx = np.nonzero(pc.is_null(batch.column("text")).to_numpy(zero_copy_only=False))[0]
-    if len(null_idx):
+    texts = pc.cast(batch.column("text").combine_chunks(), pa.string())
+    if texts.null_count:
         from safe_zone_ray.extract import extract_text_column
 
-        htmls_bin = batch.column("html").take(pa.array(null_idx, pa.int64()))
-        out = list(texts)
+        is_null = pc.is_null(texts)
+        htmls_bin = pc.filter(batch.column("html"), is_null).combine_chunks()
         try:
-            html_str = pc.cast(htmls_bin, pa.string())
-            extracted = extract_text_column(html_str).to_pylist()
+            extracted = extract_text_column(pc.cast(htmls_bin, pa.string()))
         except pa.lib.ArrowInvalid:
             # invalid UTF-8 somewhere in the batch: per-row decode-replace path
-            extracted = [extract_text(h or b"") for h in htmls_bin.to_pylist()]
-        for i, t in zip(null_idx, extracted):
-            out[i] = t
-    else:
-        out = texts
-    hosts = [_host_of(u) for u in urls]
+            extracted = pa.array(
+                [extract_text(h or b"") for h in htmls_bin.to_pylist()], pa.string()
+            )
+        texts = pc.replace_with_mask(texts, is_null, extracted)
+    hosts = pc.struct_field(pc.extract_regex(batch.column("url"), _HOST_RE), [0])
     arrays = [
         batch.column("url"),
         batch.column("warc_ts"),
-        pa.array(out, pa.string()),
+        texts,
         batch.column("lang"),
-        pa.array(hosts, pa.string()),
+        hosts,
     ]
     names = ["url", "warc_ts", "text_extracted", "claimed_lang", "host"]
     # pass through job bookkeeping columns (e.g. fragment_id for lineage)

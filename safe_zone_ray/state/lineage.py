@@ -68,10 +68,34 @@ def _list_fragments(pages_dir: str) -> list[str]:
 
 
 def _done_fragments(out_dir: str) -> set[str]:
+    """Fragments with a manifest that parses. A manifest cut short (a
+    non-atomic write torn by a crash) is not a commit: the fragment is
+    recomputed."""
     mdir = os.path.join(out_dir, "_manifest")
     if not os.path.isdir(mdir):
         return set()
-    return {os.path.splitext(f)[0] for f in os.listdir(mdir) if f.endswith(".json")}
+    done = set()
+    for f in os.listdir(mdir):
+        if not f.endswith(".json"):
+            continue
+        try:
+            with open(os.path.join(mdir, f)) as fh:
+                json.load(fh)
+        except (OSError, ValueError):
+            continue
+        done.add(os.path.splitext(f)[0])
+    return done
+
+
+def _write_json_atomic(path: str, obj: dict) -> None:
+    """tmp file + fsync + rename: readers see the old file or the whole new
+    one, never a prefix."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
+        json.dump(obj, f, sort_keys=True)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 def _clean_uncommitted(out_dir: str, done: set[str]) -> None:
@@ -221,11 +245,12 @@ def run_job(
             # detection counts by recognizer type
             "detection_type_hist": dict(sorted(m["types"].items())),
         }
-        with open(os.path.join(out_dir, "_lineage", f"{frag}.json"), "w") as f:
-            json.dump(lineage_rec, f, sort_keys=True)
+        _write_json_atomic(os.path.join(out_dir, "_lineage", f"{frag}.json"), lineage_rec)
         # manifest write is the commit point — lineage is durable first
-        with open(os.path.join(out_dir, "_manifest", f"{frag}.json"), "w") as f:
-            json.dump({"fragment_id": frag, "rows": m["rows"]}, f)
+        _write_json_atomic(
+            os.path.join(out_dir, "_manifest", f"{frag}.json"),
+            {"fragment_id": frag, "rows": m["rows"]},
+        )
         result.fragments_processed += 1
         result.rows_processed += m["rows"]
 

@@ -260,6 +260,23 @@ def test_host_lang_diversity_oracle_parity(ray_session, con, pages_dir):
     assert len(got) == got.host.nunique()
 
 
+def test_host_lang_diversity_widen_rejects_pair_count_overflow():
+    """c*(c-1) must be checked before it is computed: a (host, lang) count
+    above ~3.04e9 would wrap int64 silently."""
+    import pyarrow as pa
+
+    from safe_zone_ray.pipelines.quality_filter import _MAX_PAIR_COUNT, _widen_lang_counts
+
+    def part(c):
+        return pa.table({"host": ["h"], "lang_id": ["en"], "sum(c)": pa.array([c], pa.int64())})
+
+    top = _widen_lang_counts(part(_MAX_PAIR_COUNT))
+    assert top.column("c2").to_pylist() == [_MAX_PAIR_COUNT * (_MAX_PAIR_COUNT - 1)]
+    for c in (_MAX_PAIR_COUNT + 1, 3_100_000_000):
+        with pytest.raises(OverflowError):
+            _widen_lang_counts(part(c))
+
+
 def test_keep_rate_by_crawl_day_oracle_parity(ray_session, con, pages_dir):
     """Crawl-day drift: DuckDB parity + day totals partition the corpus and
     days span the generator's 30-day window."""

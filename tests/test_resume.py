@@ -113,3 +113,36 @@ def test_idempotent_noop_resume(small_pages):
     r = run_job(small_pages, out, PipelineConfig())
     assert r.fragments_processed == 0
     assert r.fragments_skipped == n_frags
+
+
+def test_truncated_manifest_is_recomputed(small_pages, tmp_path):
+    """A manifest that does not parse is not a commit: its fragment's output
+    is discarded and recomputed, committed neighbours are left alone, and no
+    temporary file of the atomic writes is left behind."""
+    import json
+
+    out = str(tmp_path / "job")
+    r1 = run_job(small_pages, out, PipelineConfig(), max_fragments=2)
+    assert r1.fragments_processed == 2
+    torn, kept = sorted(l["fragment_id"] for l in r1.lineage)
+    mpath = os.path.join(out, "_manifest", f"{torn}.json")
+    with open(mpath) as f:
+        committed = f.read()
+    with open(mpath, "w") as f:
+        f.write(committed[: len(committed) // 2])
+
+    def mtimes(frag):
+        d = os.path.join(out, "decisions", f"fragment_id={frag}")
+        return {p: os.path.getmtime(os.path.join(d, p)) for p in os.listdir(d)}
+
+    torn_before, kept_before = mtimes(torn), mtimes(kept)
+    r2 = run_job(small_pages, out, PipelineConfig(), max_fragments=1)
+    assert r2.fragments_skipped == 1
+    assert r2.fragments_processed == 1
+    assert r2.rows_processed == json.loads(committed)["rows"]
+    with open(mpath) as f:
+        assert json.loads(f.read()) == json.loads(committed)
+    assert mtimes(kept) == kept_before
+    assert set(mtimes(torn)).isdisjoint(torn_before)  # old partial output gone
+    for sub in ("_manifest", "_lineage"):
+        assert not [f for f in os.listdir(os.path.join(out, sub)) if f.endswith(".tmp")]
