@@ -19,8 +19,9 @@ The unit of checkpointing is one input Parquet file (fragment). A run:
    from a crash — only uncommitted work is discarded);
 3. streams the remaining fragments through the pipeline in ONE Dataset
    (pipelining across fragments), writing hive-partitioned by fragment_id;
-4. reads back just the tiny lineage columns from the written output, computes
-   per-fragment stats, writes lineage then manifest records.
+4. folds the lineage counters inside the write (each write task returns the
+   per-fragment counts of what it wrote), checks each fragment's rows against
+   its input file's footer, and writes lineage then manifest records.
 
 Kernels are deterministic (hash-derived placeholders, pure functions of the
 row), so a resumed run produces output identical to an uninterrupted one.
@@ -28,6 +29,7 @@ row), so a resumed run produces output identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import collections
 import glob
 import json
 import os
@@ -35,22 +37,96 @@ import shutil
 from dataclasses import dataclass, field
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+from ray.data.block import BlockAccessor
 
 from safe_zone_ray.pipelines.quality_filter import PipelineConfig, build_quality_filter
 from safe_zone_ray.sources.pages_io import read_pages
+from safe_zone_ray.state.metrics import write_metrics_sidecar
+from safe_zone_ray.state.siem import drain_lineage
 
 
 def fragment_id_of(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _registry_version(cfg: PipelineConfig) -> str:
-    from safe_zone_ray.registry import load_registry
+# fragment_id_of as one Arrow kernel: the basename up to its last dot, unless
+# that dot is one of the basename's leading dots (os.path.splitext's rule)
+_FRAGMENT_ID_RE = r"(?s)^(?:.*/)?(?P<fragment_id>\.*[^/]*?)(?:\.[^./]*)?$"
 
-    try:
-        return load_registry(cfg.registry_path).version
-    except Exception:
-        return "unknown"
+
+def _tag_fragment(batch: pa.Table) -> pa.Table:
+    parts = pc.extract_regex(batch.column("path"), _FRAGMENT_ID_RE)
+    frags = pc.struct_field(parts, "fragment_id")
+    return batch.drop_columns(["path"]).append_column("fragment_id", frags)
+
+
+# map<string,int32> as its entry list: list_parent_indices on the map type
+# crashes the process under pyarrow 16
+_BREAKDOWN_ENTRIES = pa.list_(pa.struct([("key", pa.string()), ("value", pa.int32())]))
+
+
+def _new_counts() -> dict[str, collections.Counter]:
+    """"n": rows/kept/pii, "hist": drop reasons, "types": recognizer hits."""
+    return {k: collections.Counter() for k in ("n", "hist", "types")}
+
+
+def _rows(t: pa.Table, *names: str):
+    return zip(*(t.column(c).to_pylist() for c in names))
+
+
+def fold_lineage(t: pa.Table) -> dict[str, dict]:
+    """Per-fragment lineage counts of a decisions table: rows, kept,
+    contains_pii, the non-empty drop_reason histogram and the per-recognizer
+    sums of ``breakdown``, each one Arrow group-by."""
+    acc: dict[str, dict] = collections.defaultdict(_new_counts)
+    base = t.group_by("fragment_id").aggregate(
+        [([], "count_all"), ("keep", "sum"), ("contains_pii", "sum")]
+    )
+    for f, n, k, p in _rows(base, "fragment_id", "count_all", "keep_sum", "contains_pii_sum"):
+        # a group whose keep/contains_pii are all null sums to null
+        acc[f]["n"].update(rows=n, kept=k or 0, pii=p or 0)
+    reasons = t.filter(pc.fill_null(pc.not_equal(t.column("drop_reason"), ""), False))
+    hist = reasons.group_by(["fragment_id", "drop_reason"]).aggregate([([], "count_all")])
+    for f, r, n in _rows(hist, "fragment_id", "drop_reason", "count_all"):
+        acc[f]["hist"][r] += n
+    entries = t.column("breakdown").cast(_BREAKDOWN_ENTRIES)
+    flat = pc.list_flatten(entries)
+    types = pa.table({
+        "fragment_id": pc.take(t.column("fragment_id"), pc.list_parent_indices(entries)),
+        "key": pc.struct_field(flat, "key"),
+        "value": pc.struct_field(flat, "value"),
+    }).group_by(["fragment_id", "key"]).aggregate([("value", "sum")])
+    for f, key, v in _rows(types, "fragment_id", "key", "value_sum"):
+        acc[f]["types"][key] += v
+    return dict(acc)
+
+
+def merge_lineage(partials: list[dict[str, dict]]) -> dict[str, dict]:
+    merged: dict[str, dict] = collections.defaultdict(_new_counts)
+    for part in partials:
+        for frag, p in part.items():
+            for k, counts in p.items():
+                merged[frag][k].update(counts)
+    return merged
+
+
+class LineageParquetDatasink(ParquetDatasink):
+    """``write_parquet``'s sink that also folds lineage: each write task
+    returns ``fold_lineage`` of the rows it wrote, and the driver's instance
+    keeps them in ``write_returns``. No second pass over the written files."""
+
+    def write(self, blocks, ctx) -> dict[str, dict]:
+        blocks = list(blocks)
+        super().write(blocks, ctx)
+        tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks) if t.num_rows]
+        return fold_lineage(pa.concat_tables(tables)) if tables else {}
+
+    def on_write_complete(self, write_result) -> None:
+        super().on_write_complete(write_result)
+        self.write_returns = write_result.write_returns
 
 
 @dataclass
@@ -61,10 +137,6 @@ class JobResult:
     fragments_processed: int = 0
     rows_processed: int = 0
     lineage: list[dict] = field(default_factory=list)
-
-
-def _list_fragments(pages_dir: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
 
 
 def _done_fragments(out_dir: str) -> set[str]:
@@ -87,12 +159,12 @@ def _done_fragments(out_dir: str) -> set[str]:
     return done
 
 
-def _write_json_atomic(path: str, obj: dict) -> None:
+def write_json_atomic(path: str, obj: dict, indent: int | None = None) -> None:
     """tmp file + fsync + rename: readers see the old file or the whole new
     one, never a prefix."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
-        json.dump(obj, f, sort_keys=True)
+        json.dump(obj, f, sort_keys=True, indent=indent)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
@@ -117,10 +189,11 @@ def run_job(
     """Run (or resume) the quality-filter job. ``max_fragments`` bounds how
     many NEW fragments are processed this invocation (used by the resume test
     to simulate a kill between checkpoints)."""
-    import ray.data
+    from safe_zone_ray import __version__ as engine_version
+    from safe_zone_ray.registry import load_registry
 
     cfg = cfg or PipelineConfig()
-    files = _list_fragments(pages_dir)
+    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
     done = _done_fragments(out_dir) if resume else set()
     if not resume:
         shutil.rmtree(out_dir, ignore_errors=True)
@@ -129,142 +202,67 @@ def run_job(
     _clean_uncommitted(out_dir, done)
 
     todo = [f for f in files if fragment_id_of(f) not in done]
+    result = JobResult(out_dir, len(files), fragments_skipped=len(files) - len(todo))
     if max_fragments is not None:
         todo = todo[:max_fragments]
-
-    result = JobResult(
-        out_dir=out_dir,
-        fragments_total=len(files),
-        fragments_skipped=len(files) - len([f for f in files if fragment_id_of(f) not in done]),
-    )
     if not todo:
         result.lineage = _load_lineage(out_dir)
         return result
 
-    ds = read_pages(todo, include_paths=True)
-
-    def tag_fragment(batch: pa.Table) -> pa.Table:
-        frags = [fragment_id_of(p) for p in batch.column("path").to_pylist()]
-        batch = batch.drop_columns(["path"])
-        return batch.append_column("fragment_id", pa.array(frags, pa.string()))
-
-    ds = ds.map_batches(tag_fragment, batch_format="pyarrow")
+    ds = read_pages(todo, include_paths=True).map_batches(_tag_fragment, batch_format="pyarrow")
     decisions = build_quality_filter(ds, cfg)
-    decisions.write_parquet(os.path.join(out_dir, "decisions"), partition_cols=["fragment_id"])
-
-    # Lineage pass: column-pruned read-back of the freshly written output
-    # (3 small columns), per-fragment aggregation, then commit manifests.
-    new_frags = sorted({fragment_id_of(f) for f in todo})
-    frag_to_input = {fragment_id_of(f): f for f in todo}
-    new_files = [
-        f
-        for fr in new_frags
-        for f in sorted(
-            glob.glob(os.path.join(out_dir, "decisions", f"fragment_id={fr}", "*.parquet"))
-        )
-    ]
-    lineage_ds = ray.data.read_parquet(
-        new_files,
-        columns=["keep", "drop_reason", "contains_pii", "breakdown"],
-        include_paths=True,
+    # same sink, partitioning and file names as write_parquet
+    sink = LineageParquetDatasink(
+        os.path.join(out_dir, "decisions"),
+        partition_cols=["fragment_id"],
+        dataset_uuid=decisions._uuid,
     )
+    decisions.write_datasink(sink)
+    merged = merge_lineage(sink.write_returns)
 
-    def frag_stats(batch: pa.Table) -> pa.Table:
-        import collections
-
-        frags = [p.split("fragment_id=")[1].split("/")[0] for p in batch.column("path").to_pylist()]
-        keeps = batch.column("keep").to_pylist()
-        reasons = batch.column("drop_reason").to_pylist()
-        piis = batch.column("contains_pii").to_pylist()
-        breakdowns = batch.column("breakdown").to_pylist()
-        acc: dict[str, dict] = {}
-        for fr, k, r, p, b in zip(frags, keeps, reasons, piis, breakdowns):
-            a = acc.setdefault(
-                fr,
-                {"rows": 0, "kept": 0, "pii": 0,
-                 "hist": collections.Counter(), "types": collections.Counter()},
+    try:
+        registry_version = load_registry(cfg.registry_path).version
+    except Exception:
+        registry_version = "unknown"
+    for path in todo:
+        frag = fragment_id_of(path)
+        m, n = merged[frag], merged[frag]["n"]
+        want = pq.ParquetFile(path).metadata.num_rows
+        if n["rows"] != want:
+            raise RuntimeError(
+                f"fragment {frag}: wrote {n['rows']} decision rows, input {path} has "
+                f"{want}; not committed"
             )
-            a["rows"] += 1
-            a["kept"] += bool(k)
-            a["pii"] += bool(p)
-            if r:
-                a["hist"][r] += 1
-            if b:
-                # breakdown is a map column → list of (type, count) pairs
-                for key, cnt in (b.items() if isinstance(b, dict) else b):
-                    a["types"][key] += cnt
-        return pa.Table.from_pylist(
-            [
-                {
-                    "fragment_id": fr,
-                    "rows": a["rows"],
-                    "kept": a["kept"],
-                    "pii": a["pii"],
-                    "hist": json.dumps(dict(a["hist"]), sort_keys=True),
-                    "types": json.dumps(dict(a["types"]), sort_keys=True),
-                }
-                for fr, a in acc.items()
-            ]
-        )
-
-    partials = lineage_ds.map_batches(frag_stats, batch_format="pyarrow").take_all()
-    import collections
-
-    merged: dict[str, dict] = {}
-    for row in partials:
-        m = merged.setdefault(
-            row["fragment_id"],
-            {"rows": 0, "kept": 0, "pii": 0,
-             "hist": collections.Counter(), "types": collections.Counter()},
-        )
-        m["rows"] += row["rows"]
-        m["kept"] += row["kept"]
-        m["pii"] += row["pii"]
-        m["hist"].update(json.loads(row["hist"]))
-        m["types"].update(json.loads(row["types"]))
-
-    for frag in new_frags:
-        m = merged.get(
-            frag,
-            {"rows": 0, "kept": 0, "pii": 0,
-             "hist": collections.Counter(), "types": collections.Counter()},
-        )
-        from safe_zone_ray import __version__ as _engine_version
-
         lineage_rec = {
             "fragment_id": frag,
-            "engine_version": _engine_version,
-            "registry_version": _registry_version(cfg),
-            "input_path": frag_to_input[frag],
-            "rows": m["rows"],
-            "kept": m["kept"],
-            "dropped": m["rows"] - m["kept"],
-            "contains_pii": m["pii"],
+            "engine_version": engine_version,
+            "registry_version": registry_version,
+            "input_path": path,
+            "rows": n["rows"],
+            "kept": n["kept"],
+            "dropped": n["rows"] - n["kept"],
+            "contains_pii": n["pii"],
             "drop_reason_hist": dict(sorted(m["hist"].items())),
             # SecurityEvent corpus analogue (SURVEY S6/S7): per-fragment
             # detection counts by recognizer type
             "detection_type_hist": dict(sorted(m["types"].items())),
         }
-        _write_json_atomic(os.path.join(out_dir, "_lineage", f"{frag}.json"), lineage_rec)
+        write_json_atomic(os.path.join(out_dir, "_lineage", f"{frag}.json"), lineage_rec)
         # manifest write is the commit point — lineage is durable first
-        _write_json_atomic(
+        write_json_atomic(
             os.path.join(out_dir, "_manifest", f"{frag}.json"),
-            {"fragment_id": frag, "rows": m["rows"]},
+            {"fragment_id": frag, "rows": n["rows"]},
         )
         result.fragments_processed += 1
-        result.rows_processed += m["rows"]
+        result.rows_processed += n["rows"]
 
     # session-wide operator metrics (bucket-cap drops, convergence rounds)
     # land beside the per-fragment records so the job audit sees them
-    from safe_zone_ray.state.metrics import write_metrics_sidecar
-
     write_metrics_sidecar(out_dir)
 
     # optional SIEM drain of the per-fragment lineage records (no-op unless
     # $SIEM_WEBHOOK_URL is set) — the batch engine's analogue of the
     # reference's per-request SecurityEvent feed (siem.go:16-40)
-    from safe_zone_ray.state.siem import drain_lineage
-
     drain_lineage(out_dir)
 
     result.lineage = _load_lineage(out_dir)

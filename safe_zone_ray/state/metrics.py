@@ -15,13 +15,15 @@ fresh window (tests use this)."""
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 
 logger = logging.getLogger(__name__)
 
 _ACTOR_NAME = "szr_metrics"
+# Ray warns on stdout whenever a detached actor is created in a driver's
+# anonymous namespace; a fixed namespace also lets a later driver find it
+_ACTOR_NAMESPACE = "safe_zone_ray"
 
 
 class _MetricsActor:
@@ -50,7 +52,8 @@ def _actor():
     # reported a metric
     return (
         ray.remote(num_cpus=0)(_MetricsActor)
-        .options(name=_ACTOR_NAME, get_if_exists=True, lifetime="detached")
+        .options(name=_ACTOR_NAME, namespace=_ACTOR_NAMESPACE, get_if_exists=True,
+                 lifetime="detached")
         .remote()
     )
 
@@ -108,9 +111,10 @@ def write_metrics_sidecar(out_dir: str) -> str:
     """Dump the session counters next to the per-fragment lineage records so
     the job audit sees what the caps dropped and how hard the iterative
     operators worked. Returns the path written."""
+    from safe_zone_ray.state.lineage import write_json_atomic
+
     ldir = os.path.join(out_dir, "_lineage")
     os.makedirs(ldir, exist_ok=True)
     path = os.path.join(ldir, "_metrics.json")
-    with open(path, "w") as f:
-        json.dump(collect(), f, sort_keys=True, indent=1)
+    write_json_atomic(path, collect(), indent=1)
     return path
