@@ -530,26 +530,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_len_token_correlation": analytics.doc_len_token_correlation,
         # cohort retention matrix (signup-anchored weekly activity)
         "cohort_retention": analytics.cohort_retention,
-        # first-signup -> first-purchase lag (mergeable MIN statistics)
-        "time_to_conversion": __import__(
-            "safe_zone_ray.functions.behavior", fromlist=["time_to_conversion"]
-        ).time_to_conversion,
-        # gaps-and-islands longest consecutive-day streak, bucket-vectorized
-        "activity_streaks": __import__(
-            "safe_zone_ray.functions.behavior", fromlist=["activity_streaks"]
-        ).activity_streaks,
-        # RFM quartiles via three chained global-NTILE passes, no join
-        "rfm_segments": __import__(
-            "safe_zone_ray.functions.behavior", fromlist=["rfm_segments"]
-        ).rfm_segments,
-        # two-pass exact z-score outliers over integer cents
-        "type_value_outliers": __import__(
-            "safe_zone_ray.functions.behavior", fromlist=["type_value_outliers"]
-        ).type_value_outliers,
-        # corpus-derived stopword set (top-K broadcast) -> per-doc density
-        "corpus_stopword_density": __import__(
-            "safe_zone_ray.functions.behavior", fromlist=["corpus_stopword_density"]
-        ).corpus_stopword_density,
         # host link graph: corpus scan -> host-graph-sized weighted edges
         "host_link_edges": __import__(
             "safe_zone_ray.functions.graph", fromlist=["host_link_edges"]
@@ -599,10 +579,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ).embedding_dim_sums,
         # full grouping-set lattice (CUBE), one exchange like the ROLLUP
         "source_lang_cube": analytics.source_lang_cube,
-        # robust median/MAD outliers (lower-median spec, all-integer cut)
-        "type_value_robust_outliers": __import__(
-            "safe_zone_ray.functions.behavior", fromlist=["type_value_robust_outliers"]
-        ).type_value_robust_outliers,
         # weighted Bernoulli corpus subsample — no sort, IEEE-exact oracle
         "weighted_doc_sample": textstats.weighted_doc_sample,
         # UT1-style domain-SUFFIX blocklist (subdomain matching)
@@ -704,77 +680,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "label_counts_by_lang": __import__(
             "safe_zone_ray.functions.embed", fromlist=["label_counts_by_lang"]
         ).label_counts_by_lang,
-        "q1_pricing_summary": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q1_pricing_summary"]
-        ).q1_pricing_summary,
-        "q3_shipping_priority": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q3_shipping_priority"]
-        ).q3_shipping_priority,
-        "q6_forecast_revenue": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q6_forecast_revenue"]
-        ).q6_forecast_revenue,
-        "q5_local_supplier_volume": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q5_local_supplier_volume"]
-        ).q5_local_supplier_volume,
-        "q14_promo_revenue": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q14_promo_revenue"]
-        ).q14_promo_revenue,
-        "q4_order_priority": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q4_order_priority"]
-        ).q4_order_priority,
-        "q13_customer_distribution": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q13_customer_distribution"]
-        ).q13_customer_distribution,
-        "q18_large_volume_customers": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q18_large_volume_customers"]
-        ).q18_large_volume_customers,
-        "q22_dormant_customers": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q22_dormant_customers"]
-        ).q22_dormant_customers,
-        "q7_volume_shipping": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q7_volume_shipping"]
-        ).q7_volume_shipping,
-        "q8_market_share": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q8_market_share"]
-        ).q8_market_share,
-        "q9_product_revenue": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q9_product_revenue"]
-        ).q9_product_revenue,
-        "q10_returned_items": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q10_returned_items"]
-        ).q10_returned_items,
-        "q15_top_supplier": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q15_top_supplier"]
-        ).q15_top_supplier,
-        "q17_small_quantity_revenue": __import__(
-            "safe_zone_ray.functions.relational_join",
-            fromlist=["q17_small_quantity_revenue"],
-        ).q17_small_quantity_revenue,
-        "q19_discounted_revenue": __import__(
-            "safe_zone_ray.functions.relational_join",
-            fromlist=["q19_discounted_revenue"],
-        ).q19_discounted_revenue,
-        "q2_min_cost_supplier": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q2_min_cost_supplier"]
-        ).q2_min_cost_supplier,
-        "q11_important_stock": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q11_important_stock"]
-        ).q11_important_stock,
-        "q12_shipmode_priority": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q12_shipmode_priority"]
-        ).q12_shipmode_priority,
-        "q16_parts_supplier_relationship": __import__(
-            "safe_zone_ray.functions.warehouse_ext",
-            fromlist=["q16_parts_supplier_relationship"],
-        ).q16_parts_supplier_relationship,
-        "q20_excess_stock_suppliers": __import__(
-            "safe_zone_ray.functions.warehouse_ext",
-            fromlist=["q20_excess_stock_suppliers"],
-        ).q20_excess_stock_suppliers,
-        "q21_suppliers_who_kept_orders_waiting": __import__(
-            "safe_zone_ray.functions.warehouse_ext",
-            fromlist=["q21_suppliers_who_kept_orders_waiting"],
-        ).q21_suppliers_who_kept_orders_waiting,
         "corpus_prep_manifest": q_corpus_prep_manifest,
         "per_host_distinct_urls": __import__(
             "safe_zone_ray.functions.sketch", fromlist=["per_host_distinct_urls"]
@@ -807,26 +712,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "exact_substring_scrub": __import__(
             "safe_zone_ray.functions.substring", fromlist=["exact_substring_scrub"]
         ).exact_substring_scrub,
-        # JSON shredding of the events props side-car (both oracle-checked
-        # against DuckDB json_extract)
-        "event_props_shred": __import__(
-            "safe_zone_ray.functions.jsonshred", fromlist=["event_props_shred"]
-        ).event_props_shred,
-        "props_stats_by_type": __import__(
-            "safe_zone_ray.functions.jsonshred", fromlist=["props_stats_by_type"]
-        ).props_stats_by_type,
-        # Z-order layout clustering (lakehouse OPTIMIZE ZORDER) + the
-        # zone-map report that proves the locality (both oracle-checked)
-        "zorder_layout": __import__(
-            "safe_zone_ray.functions.zorder", fromlist=["zorder_layout"]
-        ).zorder_layout,
-        "zorder_zone_maps": __import__(
-            "safe_zone_ray.functions.zorder", fromlist=["zorder_zone_maps"]
-        ).zorder_zone_maps,
-        # SKYLINE (Pareto frontier) preference query, oracle-checked
-        "customer_order_skyline": __import__(
-            "safe_zone_ray.functions.skyline", fromlist=["customer_order_skyline"]
-        ).customer_order_skyline,
         # snapshot DIFF / CDC reconciliation (one-exchange digest diff),
         # oracle-checked against a FULL OUTER JOIN twin
         "snapshot_diff": __import__(
@@ -838,11 +723,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "snapshot_merge": __import__(
             "safe_zone_ray.functions.snapshot", fromlist=["snapshot_merge"]
         ).snapshot_merge,
-        # SCD Type-2 validity intervals (bucket-vectorized run-length
-        # encoding of each user's typed event stream), oracle-checked
-        "user_type_intervals": __import__(
-            "safe_zone_ray.functions.scd", fromlist=["user_type_intervals"]
-        ).user_type_intervals,
         # windowed exact COUNT DISTINCT (dedup-then-count, combiner-first),
         # oracle-checked
         "events_hourly_distinct_users": __import__(
@@ -878,11 +758,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "snapshot_lang_drift": __import__(
             "safe_zone_ray.functions.drift", fromlist=["snapshot_lang_drift"]
         ).snapshot_lang_drift,
-        # cumulative user reach (first-touch groupby + calendar-sized
-        # prefix sum — no corpus-wide sort), oracle-checked
-        "daily_user_reach": __import__(
-            "safe_zone_ray.functions.reach", fromlist=["daily_user_reach"]
-        ).daily_user_reach,
         # k-anonymity / l-diversity release audit (combiner-first,
         # class-sized exchange), oracle-checked
         "k_anonymity_report": __import__(
@@ -936,23 +811,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # per-language tokenizer fertility audit (BPE-ish pre-tokens per
         # whitespace word), oracle-checked — combiner-first integer sums
         "token_fertility_by_lang": textstats.token_fertility_by_lang,
-        # distributed Lloyd's k-means (rows-only: iterative refinement has
-        # no SQL twin; exact single-process-twin equality + batch-layout
-        # invariance pinned in tests/test_kmeans.py)
-        "kmeans_centroids": __import__(
-            "safe_zone_ray.functions.kmeans", fromlist=["kmeans_centroids"]
-        ).kmeans_centroids,
-        "kmeans_assignments": __import__(
-            "safe_zone_ray.functions.kmeans", fromlist=["kmeans_assignments"]
-        ).kmeans_assignments,
-        # distributed PCA (rows-only: eigendecomposition has no SQL twin;
-        # exact twin equality + layout invariance in tests/test_pca.py)
-        "pca_components": __import__(
-            "safe_zone_ray.functions.pca", fromlist=["pca_components"]
-        ).pca_components,
-        "pca_projection": __import__(
-            "safe_zone_ray.functions.pca", fromlist=["pca_projection"]
-        ).pca_projection,
         # Count-Min sketch point-frequency estimates (rows-only: hash
         # positions have no SQL twin; CM guarantee pinned vs exact DuckDB
         # counts in tests/test_countmin.py)
@@ -971,12 +829,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ivfpq_topk": __import__(
             "safe_zone_ray.functions.pq", fromlist=["ivfpq_topk"]
         ).ivfpq_topk,
-        # greedy k-center coreset selection (Gonzalez/Sener-Savarese;
-        # rows-only: iterative greedy has no SQL twin; brute-force
-        # reference + planted outlier in tests/test_coreset.py)
-        "coreset_select": __import__(
-            "safe_zone_ray.functions.coreset", fromlist=["coreset_select"]
-        ).coreset_select,
         # margin-based bitext / parallel-pair mining (Artetxe & Schwenk
         # 2019), oracle-checked: broadcast pivot matrix, one bounded
         # backward-avg exchange, batch-local margin argmax
@@ -996,11 +848,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "tfidf_top_terms": __import__(
             "safe_zone_ray.functions.tfidf", fromlist=["tfidf_top_terms"]
         ).tfidf_top_terms,
-        # band join (non-equi range join, bucket + neighbour replication),
-        # oracle-checked against the SQL BETWEEN self-join
-        "doc_band_pairs": __import__(
-            "safe_zone_ray.functions.bandjoin", fromlist=["doc_band_pairs"]
-        ).doc_band_pairs,
         # corpus statistical audits (lang×source mutual information;
         # Zipf's-law fit over token frequencies), both oracle-checked
         "lang_source_mi": __import__(
@@ -1073,16 +920,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "quality_model_report": __import__(
             "safe_zone_ray.functions.qualitymodel", fromlist=["quality_model_report"]
         ).quality_model_report,
-        # EWMA hourly anomaly baseline (integer fixed-point recursion,
-        # bit-exact recursive-CTE twin), oracle-checked
-        "events_hourly_ewma": __import__(
-            "safe_zone_ray.functions.ewma", fromlist=["events_hourly_ewma"]
-        ).events_hourly_ewma,
-        # association rules over per-user event-type baskets (support/
-        # confidence/lift, bucket-vectorized basket expansion), oracle-checked
-        "event_association_rules": __import__(
-            "safe_zone_ray.functions.assoc", fromlist=["event_association_rules"]
-        ).event_association_rules,
     }
     return {k: built[k] for k in _query_order(built)}
 
@@ -1092,19 +929,17 @@ def _query_order(built: dict) -> list[str]:
 
     The driver's correctness gate compares (at most) the FIRST 50 dict
     entries against ``oracle_sql()`` — dict order IS the evidence window.
-    Round-5 rotation (VERDICT r4 item 2): the window holds 50 oracle-backed
-    entries that have NEVER been driver-verified in rounds 1-4 (the round-4
-    analytics / behavior / graph / profile / EWMA / assoc families), so the
-    r3+r4+r5 union maximizes driver-verified coverage. Everything verified
-    in earlier rounds moves to the tail (still covered every round by
-    scripts/check_oracle.py); rows-only/no-oracle entries sort last. Any
-    key not named here (new operators) lands after the named window.
+    The window holds 50 oracle-backed entries that have NEVER been
+    driver-verified in rounds 1-4 (VERDICT r4 item 2): the round-4
+    corpus-statistics / graph / profile families, then the flagship
+    ablation/calibration reports and the dedup and link-graph operators.
+    Everything verified in earlier rounds sits in the tail (still covered
+    every round by scripts/check_oracle.py); rows-only/no-oracle entries
+    sort last. Any key not named here (new operators) lands after the
+    named window.
     """
     window = [
-        "events_hourly_ewma",
-        "event_association_rules",
         "exact_substring_dup_stats",
-        "q2_min_cost_supplier",
         "global_line_dedup",
         "word_cooccurrence_pmi",
         "tfidf_top_terms",
@@ -1113,15 +948,11 @@ def _query_order(built: dict) -> list[str]:
         "mixture_schedule",
         "doc_token_deciles",
         "lang_percentile_rank",
-        "q11_important_stock",
         "weighted_doc_sample",
         "lang_char_budget_select",
         "train_split_assignment",
-        "q12_shipmode_priority",
         "bitext_mined_pairs",
-        "doc_band_pairs",
         "token_fertility_by_lang",
-        "corpus_stopword_density",
         "flesch_scores",
         "mojibake_stats",
         "script_consistency",
@@ -1138,22 +969,12 @@ def _query_order(built: dict) -> list[str]:
         "documents_constraint_report",
         "snapshot_diff",
         "snapshot_merge",
-        "q16_parts_supplier_relationship",
         "incremental_lang_stats",
-        "zorder_layout",
-        "q20_excess_stock_suppliers",
         "host_pagerank",
         "host_communities",
-        "q21_suppliers_who_kept_orders_waiting",
         "k_anonymity_report",
         "cohort_retention",
-        "rfm_segments",
         "event_funnel",
-        "activity_streaks",
-        "time_to_conversion",
-    ]
-    assert len(window) == 50, len(window)
-    tail = [
         "quality_filter_rule_ablation",
         "quality_filter_rule_overlap",
         "pii_position_histogram",
@@ -1168,6 +989,9 @@ def _query_order(built: dict) -> list[str]:
         "outlink_degree_stats",
         "host_cocitation_pairs",
         "robots_crawl_audit",
+    ]
+    assert len(window) == 50, len(window)
+    tail = [
         "sitemap_coverage",
         "redirect_final_targets",
         "redirect_alias_groups",
@@ -1178,7 +1002,6 @@ def _query_order(built: dict) -> list[str]:
         "doc_length_percentile",
         "split_lang_balance",
         "snapshot_lang_drift",
-        "zorder_zone_maps",
         "host_crawl_cadence",
         "quality_filter_decisions",
         "kept_corpus",
@@ -1188,22 +1011,6 @@ def _query_order(built: dict) -> list[str]:
         "kept_tokens_by_lang",
         "pii_per_host",
         "pii_type_histogram",
-        "q1_pricing_summary",
-        "q3_shipping_priority",
-        "q4_order_priority",
-        "q5_local_supplier_volume",
-        "q6_forecast_revenue",
-        "q7_volume_shipping",
-        "q8_market_share",
-        "q9_product_revenue",
-        "q10_returned_items",
-        "q13_customer_distribution",
-        "q14_promo_revenue",
-        "q15_top_supplier",
-        "q17_small_quantity_revenue",
-        "q18_large_volume_customers",
-        "q19_discounted_revenue",
-        "q22_dormant_customers",
         "label_counts_by_lang",
         "ann_lsh_topk",
         "ann_partitioned_topk",
@@ -1260,10 +1067,8 @@ def _query_order(built: dict) -> list[str]:
         "lang_count_matrix",
         "doc_length_quantiles_by_lang",
         "doc_len_token_correlation",
-        "type_value_outliers",
         "host_link_edges",
         "event_transitions",
-        "type_value_robust_outliers",
         "host_suffix_blocklist",
         "events_hourly_spikes",
         "events_profile",
@@ -1271,18 +1076,13 @@ def _query_order(built: dict) -> list[str]:
         "embedding_norm_stats",
         "embedding_dim_sums",
         "source_lang_cube",
-        "event_props_shred",
-        "props_stats_by_type",
-        "customer_order_skyline",
         "host_triangles",
         "host_skew_report",
         "source_vocab_overlap",
-        "user_type_intervals",
         "events_hourly_distinct_users",
         "host_bfs_depth",
         "pii_type_cooccurrence",
         "events_hourly_gapfill",
-        "daily_user_reach",
         "fim_transform",
         "calibration_bins",
         "url_path_templates",
@@ -1325,15 +1125,10 @@ def _query_order(built: dict) -> list[str]:
         "chunk_knn_topk",
         "unigram_vocab",
         "unigram_token_counts",
-        "coreset_select",
         "pq_codes",
         "pq_topk",
         "ivfpq_topk",
         "countmin_token_freqs",
-        "kmeans_centroids",
-        "kmeans_assignments",
-        "pca_components",
-        "pca_projection",
         "quality_model_scores",
         "quality_model_report",
     ]
@@ -1447,22 +1242,12 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         _analytics.doc_len_token_correlation_oracle_sql()
     )
     flagship["cohort_retention"] = _analytics.cohort_retention_oracle_sql()
-    from safe_zone_ray.functions import behavior as _behavior
-
-    flagship["time_to_conversion"] = _behavior.time_to_conversion_oracle_sql()
-    flagship["activity_streaks"] = _behavior.activity_streaks_oracle_sql()
-    flagship["rfm_segments"] = _behavior.rfm_segments_oracle_sql()
-    flagship["type_value_outliers"] = _behavior.type_value_outliers_oracle_sql()
-    flagship["corpus_stopword_density"] = _behavior.corpus_stopword_density_oracle_sql()
     from safe_zone_ray.functions import graph as _graph
 
     flagship["host_link_edges"] = _graph.host_link_edges_oracle_sql()
     flagship["host_pagerank"] = _graph.host_pagerank_oracle_sql()
     from safe_zone_ray.functions import textstats as _textstats
 
-    flagship["type_value_robust_outliers"] = (
-        _behavior.type_value_robust_outliers_oracle_sql()
-    )
     flagship["event_transitions"] = _analytics.event_transitions_oracle_sql()
     flagship["doc_length_percentile"] = _analytics.doc_length_percentile_oracle_sql()
     flagship["events_hourly_spikes"] = _analytics.events_hourly_spikes_oracle_sql()
@@ -1479,29 +1264,12 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         _substring.exact_substring_dup_stats_oracle_sql()
     )
     flagship["exact_substring_scrub"] = _substring.exact_substring_scrub_oracle_sql()
-    _jsonshred = __import__(
-        "safe_zone_ray.functions.jsonshred", fromlist=["event_props_shred_oracle_sql"]
-    )
-    flagship["event_props_shred"] = _jsonshred.event_props_shred_oracle_sql()
-    flagship["props_stats_by_type"] = _jsonshred.props_stats_by_type_oracle_sql()
-    _zorder = __import__(
-        "safe_zone_ray.functions.zorder", fromlist=["zorder_layout_oracle_sql"]
-    )
-    flagship["zorder_layout"] = _zorder.zorder_layout_oracle_sql()
-    flagship["zorder_zone_maps"] = _zorder.zorder_zone_maps_oracle_sql()
-    flagship["customer_order_skyline"] = __import__(
-        "safe_zone_ray.functions.skyline",
-        fromlist=["customer_order_skyline_oracle_sql"],
-    ).customer_order_skyline_oracle_sql()
     flagship["snapshot_diff"] = __import__(
         "safe_zone_ray.functions.snapshot", fromlist=["snapshot_diff_oracle_sql"]
     ).snapshot_diff_oracle_sql()
     flagship["snapshot_merge"] = __import__(
         "safe_zone_ray.functions.snapshot", fromlist=["snapshot_merge_oracle_sql"]
     ).snapshot_merge_oracle_sql()
-    flagship["user_type_intervals"] = __import__(
-        "safe_zone_ray.functions.scd", fromlist=["user_type_intervals_oracle_sql"]
-    ).user_type_intervals_oracle_sql()
     from safe_zone_ray.functions.windows import (
         events_hourly_distinct_users_oracle_sql,
     )
@@ -1525,9 +1293,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     flagship["snapshot_lang_drift"] = __import__(
         "safe_zone_ray.functions.drift", fromlist=["snapshot_lang_drift_oracle_sql"]
     ).snapshot_lang_drift_oracle_sql()
-    flagship["daily_user_reach"] = __import__(
-        "safe_zone_ray.functions.reach", fromlist=["daily_user_reach_oracle_sql"]
-    ).daily_user_reach_oracle_sql()
     flagship["k_anonymity_report"] = __import__(
         "safe_zone_ray.functions.privacy", fromlist=["k_anonymity_oracle_sql"]
     ).k_anonymity_oracle_sql()
@@ -1588,14 +1353,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "safe_zone_ray.functions.linkpred",
         fromlist=["host_adamic_adar_oracle_sql"],
     ).host_adamic_adar_oracle_sql()
-    flagship["events_hourly_ewma"] = __import__(
-        "safe_zone_ray.functions.ewma",
-        fromlist=["events_hourly_ewma_oracle_sql"],
-    ).events_hourly_ewma_oracle_sql()
-    flagship["event_association_rules"] = __import__(
-        "safe_zone_ray.functions.assoc",
-        fromlist=["event_association_rules_oracle_sql"],
-    ).event_association_rules_oracle_sql()
     flagship["pii_type_cooccurrence"] = sql_for(
         "SELECT a.type AS type_a, b.type AS type_b,"
         " CAST(count(*) AS BIGINT) AS n_docs"
@@ -1663,9 +1420,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     flagship["token_fertility_by_lang"] = (
         _textstats.token_fertility_by_lang_oracle_sql()
     )
-    flagship["doc_band_pairs"] = __import__(
-        "safe_zone_ray.functions.bandjoin", fromlist=["doc_band_pairs_oracle_sql"]
-    ).doc_band_pairs_oracle_sql()
     _corpusstats = __import__(
         "safe_zone_ray.functions.corpusstats", fromlist=["lang_source_mi_oracle_sql"]
     )
@@ -1786,75 +1540,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "label_counts_by_lang": __import__(
             "safe_zone_ray.functions.embed", fromlist=["label_counts_by_lang_oracle_sql"]
         ).label_counts_by_lang_oracle_sql(),
-        # warehouse shapes over the TPC-H tables: integer-cents money math
-        # makes the distributed sums order-independent and hash-exact
-        "q1_pricing_summary": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q1_oracle_sql"]
-        ).q1_oracle_sql(),
-        "q3_shipping_priority": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q3_oracle_sql"]
-        ).q3_oracle_sql(),
-        "q6_forecast_revenue": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q6_oracle_sql"]
-        ).q6_oracle_sql(),
-        "q5_local_supplier_volume": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q5_oracle_sql"]
-        ).q5_oracle_sql(),
-        "q14_promo_revenue": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q14_oracle_sql"]
-        ).q14_oracle_sql(),
-        "q4_order_priority": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q4_oracle_sql"]
-        ).q4_oracle_sql(),
-        "q13_customer_distribution": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q13_oracle_sql"]
-        ).q13_oracle_sql(),
-        "q18_large_volume_customers": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q18_oracle_sql"]
-        ).q18_oracle_sql(),
-        "q22_dormant_customers": __import__(
-            "safe_zone_ray.functions.relational", fromlist=["q22_oracle_sql"]
-        ).q22_oracle_sql(),
-        # join-family shapes on the native hash-shuffle Dataset.join
-        "q7_volume_shipping": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q7_oracle_sql"]
-        ).q7_oracle_sql(),
-        "q8_market_share": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q8_oracle_sql"]
-        ).q8_oracle_sql(),
-        "q9_product_revenue": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q9_oracle_sql"]
-        ).q9_oracle_sql(),
-        "q10_returned_items": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q10_oracle_sql"]
-        ).q10_oracle_sql(),
-        "q15_top_supplier": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q15_oracle_sql"]
-        ).q15_oracle_sql(),
-        "q17_small_quantity_revenue": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q17_oracle_sql"]
-        ).q17_oracle_sql(),
-        "q19_discounted_revenue": __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q19_oracle_sql"]
-        ).q19_oracle_sql(),
-        "q2_min_cost_supplier": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q2_oracle_sql"]
-        ).q2_oracle_sql(),
-        "q11_important_stock": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q11_oracle_sql"]
-        ).q11_oracle_sql(),
-        "q12_shipmode_priority": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q12_oracle_sql"]
-        ).q12_oracle_sql(),
-        "q16_parts_supplier_relationship": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q16_oracle_sql"]
-        ).q16_oracle_sql(),
-        "q20_excess_stock_suppliers": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q20_oracle_sql"]
-        ).q20_oracle_sql(),
-        "q21_suppliers_who_kept_orders_waiting": __import__(
-            "safe_zone_ray.functions.warehouse_ext", fromlist=["q21_oracle_sql"]
-        ).q21_oracle_sql(),
         "events_hourly": """
             SELECT date_trunc('hour', ts) AS window_start,
                    event_type,

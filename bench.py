@@ -189,18 +189,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         timed("word_cooccurrence_pmi", analytics.word_cooccurrence_pmi)
         timed("doc_token_deciles", analytics.doc_token_deciles)
         timed("signup_week_events", windows.signup_week_events)
-        rel = __import__("safe_zone_ray.functions.relational", fromlist=["q1_pricing_summary"])
-        timed("q1_pricing_summary", rel.q1_pricing_summary)
-        timed("q3_shipping_priority", rel.q3_shipping_priority)
-        timed("q5_local_supplier_volume", rel.q5_local_supplier_volume)
-        timed("q14_promo_revenue", rel.q14_promo_revenue)
-        # join family on the native hash-shuffle Dataset.join (q7) and the
-        # two-pass broadcast-back correlated-avg shape (q17)
-        relj = __import__(
-            "safe_zone_ray.functions.relational_join", fromlist=["q7_volume_shipping"]
-        )
-        timed("q7_volume_shipping", relj.q7_volume_shipping)
-        timed("q17_small_quantity_revenue", relj.q17_small_quantity_revenue)
         # multimodal near-dup (fixed-size synthetic media; actor-pool decode)
         timed("media_dhash_dedup_pairs", __import__(
             "safe_zone_ray.stages.multimodal", fromlist=["media_dhash_dedup_pairs"]
@@ -224,14 +212,10 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
             "safe_zone_ray.functions.substring",
             fromlist=["exact_substring_dup_stats"],
         ).exact_substring_dup_stats)
-        # CDC snapshot diff (one groupby over 2x corpus digest rows) and the
-        # Z-order clustering layout (range-keyed shuffle + prefix-sum rank)
+        # CDC snapshot diff (one groupby over 2x corpus digest rows)
         timed("snapshot_diff", __import__(
             "safe_zone_ray.functions.snapshot", fromlist=["snapshot_diff"]
         ).snapshot_diff)
-        timed("zorder_layout", __import__(
-            "safe_zone_ray.functions.zorder", fromlist=["zorder_layout"]
-        ).zorder_layout)
         # round-4 continuation day-2: TF-IDF keyword extraction (one
         # vocabulary-sized df exchange + shuffle-free scored pass) and
         # margin-based bitext mining (broadcast pivot, bounded backward-avg
@@ -242,36 +226,21 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         timed("bitext_mined_pairs", __import__(
             "safe_zone_ray.functions.bitext", fromlist=["bitext_mined_pairs"]
         ).bitext_mined_pairs)
-        # round-4 continuation day-3: band join (2x replicated non-equi
-        # exchange), distributed Lloyd's k-means (iters x full-pass with
-        # bounded partial-sum exchanges), distributed PCA (one moment pass
-        # + shuffle-free projection), per-host crawl cadence (payload-free
+        # round-4 continuation day-3: per-host crawl cadence (payload-free
         # host exchange + per-group sorted diffs), Zipf fit (vocabulary
         # count exchange + partial top-k)
-        timed("doc_band_pairs", __import__(
-            "safe_zone_ray.functions.bandjoin", fromlist=["doc_band_pairs"]
-        ).doc_band_pairs)
-        timed("kmeans_assignments", __import__(
-            "safe_zone_ray.functions.kmeans", fromlist=["kmeans_assignments"]
-        ).kmeans_assignments)
-        timed("pca_projection", __import__(
-            "safe_zone_ray.functions.pca", fromlist=["pca_projection"]
-        ).pca_projection)
         timed("host_crawl_cadence", __import__(
             "safe_zone_ray.functions.urlstats", fromlist=["host_crawl_cadence"]
         ).host_crawl_cadence)
         timed("zipf_law_fit", __import__(
             "safe_zone_ray.functions.corpusstats", fromlist=["zipf_law_fit"]
         ).zipf_law_fit)
-        # round-4 day-4: MERGE apply (one digest exchange), SCD Type-2
-        # intervals (bucket-vectorized RLE), mixture interleave schedule
-        # (closed-form global position, zero corpus-sized exchanges)
+        # round-4 day-4: MERGE apply (one digest exchange), mixture
+        # interleave schedule (closed-form global position, zero
+        # corpus-sized exchanges)
         timed("snapshot_merge", __import__(
             "safe_zone_ray.functions.snapshot", fromlist=["snapshot_merge"]
         ).snapshot_merge)
-        timed("user_type_intervals", __import__(
-            "safe_zone_ray.functions.scd", fromlist=["user_type_intervals"]
-        ).user_type_intervals)
         timed("mixture_schedule", __import__(
             "safe_zone_ray.functions.mixture", fromlist=["mixture_schedule"]
         ).mixture_schedule)

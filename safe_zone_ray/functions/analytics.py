@@ -507,8 +507,7 @@ def word_cooccurrence_pmi(sf_dir: str) -> ray.data.Dataset:
     # 'zq y y' repeated 3x gives c_ab=6 with c_zq=3) drops the Zipf tail
     # without losing any referenced word — result-identical, and the
     # driver-side array shrinks by the tail fraction. At >RAM floored
-    # vocabularies swap this for the native Dataset.join the TPC-H family
-    # uses.
+    # vocabularies swap this for the native hash-shuffle Dataset.join.
     import ray
 
     _UNI_FLOOR = -(-PMI_MIN_PAIRS // PMI_WINDOW)  # ceil

@@ -132,6 +132,30 @@ FROM w GROUP BY replicate ORDER BY replicate
 """
 
 
+def _page_keys(urls) -> np.ndarray:
+    """``doc_id * 8 + variant`` from each url's trailing ``/<doc_id>/<variant>``
+    digits. Raises ``ValueError`` on a url without that suffix (the key
+    would be null) or with variant >= 8 (its key would collide with the
+    next doc_id's)."""
+    import pyarrow.compute as pc
+
+    ex = pc.extract_regex(urls, r"://[^/]+/(?P<d>[0-9]+)/(?P<v>[0-9]+)$")
+    if ex.null_count:
+        bad = pc.filter(urls, pc.is_null(ex)).to_pylist()[0]
+        raise ValueError(
+            f"bootstrap_keep_rate: url {bad!r} does not end in /<doc_id>/<variant>"
+        )
+    d = pc.struct_field(ex, "d").to_numpy(zero_copy_only=False).astype(np.int64)
+    v = pc.struct_field(ex, "v").to_numpy(zero_copy_only=False).astype(np.int64)
+    if (v >= 8).any():
+        bad = pc.filter(urls, pa.array(v >= 8)).to_pylist()[0]
+        raise ValueError(
+            f"bootstrap_keep_rate: url {bad!r} has variant >= 8, so its key "
+            "doc_id*8 + variant would collide with another page's"
+        )
+    return d * 8 + v
+
+
 def bootstrap_keep_rate(sf_dir: str, n_replicates: int = B_REPLICATES):
     """Poisson-bootstrap replicates of the FLAGSHIP keep rate: how precise
     is the quality filter's headline number on this corpus. Same one-pass
@@ -142,7 +166,6 @@ def bootstrap_keep_rate(sf_dir: str, n_replicates: int = B_REPLICATES):
     engines and batch layouts. Output per replicate: effective page count,
     effective kept count, exact integer keep_rate_ppm. ORACLE-CHECKED
     against the recursive decisions chain joined to the same hash."""
-    import pyarrow.compute as pc
     import ray.data  # noqa: F401  (decisions Dataset flows in)
 
     from safe_zone_ray.pipelines.quality_filter import (
@@ -154,12 +177,7 @@ def bootstrap_keep_rate(sf_dir: str, n_replicates: int = B_REPLICATES):
     decisions = build_quality_filter(synthesize_pages_dir(sf_dir), PipelineConfig())
 
     def partial(batch: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(
-            batch.column("url"), r"://[^/]+/(?P<d>[0-9]+)/(?P<v>[0-9]+)$"
-        )
-        d = pc.struct_field(ex, "d").to_numpy(zero_copy_only=False).astype(np.int64)
-        v = pc.struct_field(ex, "v").to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = d * 8 + v
+        keys = _page_keys(batch.column("url"))
         keep = batch.column("keep").to_numpy(zero_copy_only=False).astype(np.int64)
         h0 = keys * HASH_A + HASH_C
         reps, effs, kepts = [], [], []

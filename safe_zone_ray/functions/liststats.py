@@ -1,4 +1,4 @@
-"""List-column (nested-type) relational coverage: per-vector statistics over
+"""List-column (nested-type) coverage: per-vector statistics over
 the embeddings table's ``list<float>`` column with an EXACT SQL twin.
 
 The nested-column class the scalar profiler skips: ``len(list)`` and an
@@ -150,7 +150,7 @@ def _dim_partial(batch: pa.Table) -> pa.Table:
 
 def embedding_dim_sums(sf_dir: str) -> ray.data.Dataset:
     """Per-dimension exact element count and micro-unit sum over all
-    embedding vectors — the UNNEST + GROUP BY ordinality relational class,
+    embedding vectors — the UNNEST + GROUP BY ordinality SQL class,
     combiner-first (n_dims rows per batch enter the single exchange)."""
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
     agg = (

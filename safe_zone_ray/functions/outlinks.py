@@ -7,8 +7,8 @@ This module runs that path honestly on Ray Data:
 1. a synth stage derives a linked-pages batch from ``documents`` — html
    bytes with PLANTED anchors whose targets follow a closed-form integer
    formula (``dsti = (doc_id*SPREAD + k*STRIDE) % PRIME % n_hosts``, ``k <
-   doc_id % (MAX_LINKS+1)``) — the same derived-input discipline as
-   ``functions/warehouse_ext.py``;
+   doc_id % (MAX_LINKS+1)``), so the oracle can re-derive every input
+   row from ``documents`` alone;
 2. an extract stage recovers every href with the VECTORIZED Arrow RE2
    extract-all trick (``replace_substring_regex`` collapsing each
    ``href="..."`` match to its capture + unit separator, then

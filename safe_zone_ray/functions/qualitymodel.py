@@ -48,8 +48,8 @@ stable hash-stratified sample (compose with
 the training set is identical every epoch) and run only the final scoring
 pass over the full corpus; the scoring pass is shuffle-free.
 
-Driver entries are rows-only (iterative refinement has no SQL twin — same
-disclosure as ``kmeans``/``pca``): correctness is pinned in
+The ``queries()`` entries are rows-only (iterative refinement has no SQL
+twin): correctness is pinned in
 tests/test_qualitymodel.py by exact equality with an independent
 single-process reference implementing the same spec, batch-layout
 invariance, a planted linearly-separable corpus reaching 100% holdout

@@ -138,8 +138,7 @@ def resolve_redirects(
         # Data unions re-execute upstream lineage — without this the read +
         # every earlier round re-runs 2^rounds times. Iterative-fixpoint
         # state is the legitimate exception to the no-mid-pipeline-
-        # materialize rule (state is O(urls) rows of 3 short columns, the
-        # same discipline as Lloyd's iterations in functions/kmeans.py).
+        # materialize rule (state is O(urls) rows of 3 short columns).
         mapping = _compose(mapping.materialize())
     return mapping.map_batches(
         lambda t: t.rename_columns(["url", "final_url", "hops"]),

@@ -21,8 +21,8 @@ def round_half_away_int64_np(scaled):
     """Vectorized half-away-from-zero to int64 over an ALREADY-SCALED
     float64 array — the canonical numpy form of ``round_half_away(x, 0)``
     (DuckDB ``CAST(round(x, 0) AS BIGINT)`` parity). The same formula is
-    inlined at lmscore._micro and relational._cents (golden-pinned; left
-    in place), so parity fixes belong HERE first."""
+    inlined at lmscore._micro (golden-pinned; left in place), so parity
+    fixes belong HERE first."""
     import numpy as np
 
     return (np.floor(np.abs(scaled) + 0.5) * np.sign(scaled)).astype(np.int64)

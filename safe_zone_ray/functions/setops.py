@@ -1,7 +1,7 @@
 """Distributed DISTINCT set operations (INTERSECT / EXCEPT) between two
 corpus slices in ONE exchange.
 
-SURVEY.md §2.7 lists set ops among the relational surface; the dedicated
+SURVEY.md §2.7 lists set ops among the SQL operator surface; the dedicated
 entry here makes the pattern explicit: instead of materialising each side's
 distinct set and diffing (two exchanges + a join), every batch emits its
 LOCAL distinct keys per side as (key, in_a, in_b) flag partials, and a

@@ -29,8 +29,7 @@ scale the exchange is O(rows) × 50 B and the output is only the churn.
 
 Reference parity: no reference counterpart (its storage is a live
 row-store, `/root/reference/internal/storage/`); beyond-reference
-lakehouse-practice operator alongside ``functions/compact.py`` and
-``functions/zorder.py``.
+lakehouse-practice operator alongside ``functions/compact.py``.
 """
 
 from __future__ import annotations

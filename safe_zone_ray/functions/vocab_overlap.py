@@ -11,7 +11,7 @@ Scale shape (ONE vocabulary-sized exchange, then mask algebra):
 
 1. Per-batch combiner emits DISTINCT (token, source) pairs, each tagged
    with a crc32 token bucket (64 coarse shuffle groups — the
-   ``bandjoin``/Jaccard-verify segmentation pattern), so every copy of a
+   Jaccard-verify segmentation pattern), so every copy of a
    token co-locates in one group.
 2. Inside each group one vectorized fold ORs the source bits per token
    (OR is idempotent — cross-batch duplicate pairs collapse for free;

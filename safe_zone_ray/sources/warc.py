@@ -193,6 +193,39 @@ def write_warc(records: list[dict], path: str, compress: bool = False) -> None:
         f.write(out.getvalue())
 
 
+def _publish_wet(out_dir: str, urls: list, texts: list, compress: bool) -> str:
+    """Write one WET archive of ``urls``/``texts`` into ``out_dir``; return its
+    path (md5 of the url set, so a re-executed task overwrites its own file).
+    The tmp file lives NEXT TO ``out_dir`` (same filesystem, atomic
+    ``os.replace``), not inside it where ``read_pages_warc`` would scan it.
+    Its name carries the ``out_dir`` basename and a pid + uuid token, so two
+    exports of the same rows never share it; a failed write removes it."""
+    import hashlib
+    import os
+    import uuid
+
+    name = hashlib.md5("\n".join(urls).encode()).hexdigest()[:16]
+    path = os.path.join(out_dir, f"wet-{name}{'.warc.gz' if compress else '.warc'}")
+    out_abs = os.path.abspath(out_dir)
+    tmp = os.path.join(
+        os.path.dirname(out_abs),
+        f".wet-{os.path.basename(out_abs)}-{name}.{os.getpid()}-{uuid.uuid4().hex}.part",
+    )
+    try:
+        write_warc(
+            [{"type": "warcinfo", "url": None}]
+            + [{"type": "conversion", "url": u, "text": t or ""} for u, t in zip(urls, texts)],
+            tmp,
+            compress=compress,
+        )
+        os.replace(tmp, path)  # atomic publish (resume rule)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return path
+
+
 def write_wet(
     ds: ray.data.Dataset,
     out_dir: str,
@@ -216,38 +249,15 @@ def write_wet(
     Scale shape: pure ``map_batches`` fan-out — no exchange, no driver
     materialisation; each task streams its batch straight to its own gzip
     members. Round-trip verified against ``read_pages_warc``."""
-    import hashlib
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    suffix = ".warc.gz" if compress else ".warc"
 
     def write_batch(batch: "pa.Table") -> "pa.Table":
         urls = batch.column(url_col).to_pylist()
-        texts = batch.column(text_col).to_pylist()
-        if not urls:
-            return pa.Table.from_arrays([pa.array([], pa.int64())], names=["n"])
-        name = hashlib.md5("\n".join(urls).encode()).hexdigest()[:16]
-        path = os.path.join(out_dir, f"wet-{name}{suffix}")
-        # tmp lives NEXT TO out_dir (same filesystem, atomic os.replace)
-        # but not inside it: read_pages_warc scans every file in the dir,
-        # so an in-dir .tmp from a crashed task would be ingested
-        tmp = os.path.join(
-            os.path.dirname(os.path.abspath(out_dir)), f".wet-{name}.part"
-        )
-        write_warc(
-            [{"type": "warcinfo", "url": None}]
-            + [
-                {"type": "conversion", "url": u, "text": t or ""}
-                for u, t in zip(urls, texts)
-            ],
-            tmp,
-            compress=compress,
-        )
-        os.replace(tmp, path)  # atomic publish (resume rule)
-        return pa.Table.from_arrays(
-            [pa.array([len(urls)], pa.int64())], names=["n"]
-        )
+        if urls:
+            _publish_wet(out_dir, urls, batch.column(text_col).to_pylist(), compress)
+        return pa.Table.from_arrays([pa.array([len(urls)], pa.int64())], names=["n"])
 
     counts = ds.select_columns([url_col, text_col]).map_batches(
         write_batch, batch_format="pyarrow"

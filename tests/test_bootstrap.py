@@ -99,3 +99,32 @@ def test_bootstrap_median_brackets_true_median(ray_session):
     assert ((t.median_chars >= lo) & (t.median_chars <= hi)).all()
     assert abs(np.median(t.median_chars) - true_med) <= (hi - lo)
     assert t.median_chars.std() > 0
+
+
+def test_keep_rate_key_rejects_url_without_doc_variant_suffix():
+    """A url without the trailing /<doc_id>/<variant> digits has no key; it
+    must fail with a message naming the url, not a numpy cast error."""
+    import pyarrow as pa
+    import pytest
+
+    from safe_zone_ray.functions.bootstrap import _page_keys
+
+    urls = pa.chunked_array([["http://a.example/3/1"], ["http://b.example/about", None]])
+    with pytest.raises(ValueError, match="b.example/about"):
+        _page_keys(urls)
+    with pytest.raises(ValueError, match="None"):
+        _page_keys(pa.chunked_array([["http://a.example/3/1", None]]))
+
+
+def test_keep_rate_key_rejects_variant_that_would_collide():
+    """key = doc_id*8 + variant is unique only for variant < 8: /3/8 and
+    /4/0 would share key 32."""
+    import pyarrow as pa
+    import pytest
+
+    from safe_zone_ray.functions.bootstrap import _page_keys
+
+    ok = _page_keys(pa.chunked_array([["http://a.example/3/7", "http://a.example/4/0"]]))
+    assert ok.tolist() == [31, 32]
+    with pytest.raises(ValueError, match="variant >= 8"):
+        _page_keys(pa.chunked_array([["http://a.example/4/0"], ["http://a.example/3/8"]]))

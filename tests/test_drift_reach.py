@@ -1,14 +1,10 @@
-"""Snapshot language drift (functions/drift.py) and cumulative user reach
-(functions/reach.py): oracle parity at sf0.001, planted-truth reach on a
-tiny events table, and the PSI/prefix-sum invariants."""
+"""Snapshot language drift (functions/drift.py): oracle parity at sf0.001
+and the PSI invariants."""
 
 import os
 
 import duckdb
-import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.parquet as pq
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -52,48 +48,3 @@ def test_snapshot_lang_drift_invariants(ray_session):
     n = _duck(SF_DIR, "SELECT count(*) AS n FROM documents").n[0]
     assert df.n_base.sum() == n
 
-
-def test_daily_user_reach_planted(ray_session, tmp_path):
-    from safe_zone_ray.functions.reach import daily_user_reach
-
-    # u1 first on day1, u2 on day1, u3 on day2; repeats never recount
-    ts = pa.array(
-        pd.to_datetime(
-            [
-                "2024-01-01 05:00:00",
-                "2024-01-01 09:00:00",
-                "2024-01-02 01:00:00",
-                "2024-01-02 02:00:00",
-                "2024-01-03 03:00:00",
-            ]
-        ),
-        pa.timestamp("us"),
-    )
-    t = pa.table(
-        {
-            "ts": ts,
-            "user_id": pa.array([1, 2, 3, 1, 2], pa.int64()),
-        }
-    )
-    pq.write_table(t, os.path.join(str(tmp_path), "events.parquet"))
-    got = daily_user_reach(str(tmp_path)).to_pandas()
-    assert list(got.n_new_users) == [2, 1]
-    assert list(got.cum_users) == [2, 3]
-    assert got.day.is_monotonic_increasing
-
-
-def test_daily_user_reach_oracle_parity(ray_session):
-    from safe_zone_ray.functions.reach import (
-        daily_user_reach,
-        daily_user_reach_oracle_sql,
-    )
-
-    got = _sorted(daily_user_reach(SF_DIR).to_pandas(), "day")
-    want = _sorted(_duck(SF_DIR, daily_user_reach_oracle_sql()), "day")
-    pd.testing.assert_frame_equal(
-        got[sorted(got.columns)], want[sorted(want.columns)], check_dtype=False
-    )
-    # final cumulative equals total distinct users
-    n = _duck(SF_DIR, "SELECT count(DISTINCT user_id) AS n FROM events").n[0]
-    assert int(got.cum_users.iloc[-1]) == int(n)
-    assert np.all(np.diff(got.cum_users.to_numpy()) >= 1)

@@ -1,8 +1,8 @@
 """Frozen-golden value hashes for the queries the driver can only rows-check.
 
-Thirty ``queries()`` entries have no DuckDB oracle (uint64-wraparound
-MinHash/SimHash/LSH arithmetic, k-means clustering, iterative BPE merging,
-and binary media kernels SQL cannot express).
+The rows-only ``queries()`` entries have no DuckDB oracle (uint64-wraparound
+MinHash/SimHash/LSH arithmetic, k-means codebooks, iterative BPE merging,
+binary media kernels and other kernels SQL cannot express).
 Planted-truth tests pin their SEMANTICS; these fixtures pin their exact
 OUTPUT: the driver-style order-insensitive value hash (sorted columns,
 stringified rows, sorted, sha256 — same algorithm as
@@ -97,9 +97,6 @@ GOLDEN = {
     # brute-force-verified in tests/test_unigram.py)
     "unigram_vocab": ("0769e5671d80a389", 48),
     "unigram_token_counts": ("31f95b9f6042b4b6", 37),
-    # greedy k-center coreset (iterative — no SQL twin; brute-force
-    # reference equality in tests/test_coreset.py)
-    "coreset_select": ("62aec40c4c0e6b4e", 12),
     # product quantization (k-means codebooks — no SQL twin; exhaustive-
     # argmin encoder reference + ADC recall pins in tests/test_pq.py)
     "pq_codes": ("9ca08584831c35de", 500),
@@ -108,14 +105,6 @@ GOLDEN = {
     # Count-Min point-frequency estimates (hash positions — no SQL twin;
     # est >= exact and bounded overestimate pinned in tests/test_countmin.py)
     "countmin_token_freqs": ("12d65cbc05f1c751", 31),
-    # distributed Lloyd's k-means (iterative — no SQL twin; exact
-    # single-process-twin equality + layout invariance in tests/test_kmeans.py)
-    "kmeans_centroids": ("b43c910390f5abe0", 8),
-    "kmeans_assignments": ("a3cae468fb914d37", 500),
-    # distributed PCA (eigendecomposition — no SQL twin; exact twin
-    # equality + layout invariance in tests/test_pca.py)
-    "pca_components": ("666e176329279fda", 8),
-    "pca_projection": ("8285c653d17ae55c", 500),
     # hashed bag-of-words quality classifier (iterative GD — no SQL twin;
     # exact single-process-twin equality + layout invariance + planted
     # separable corpus in tests/test_qualitymodel.py)

@@ -30,10 +30,10 @@ def test_driver_window_is_fully_oracle_backed():
     stale = [k for k in window if k in checked]
     assert not stale, f"window entries already driver-verified: {stale}"
     # the round-4/5 additions lead the window
-    assert window[0] == "events_hourly_ewma"
-    assert "event_association_rules" in window[:5]
+    assert window[0] == "exact_substring_dup_stats"
+    assert "global_line_dedup" in window[:5]
     # previously-verified families remain registered (tail, not dropped)
-    for k in ("quality_filter_decisions", "kept_corpus", "q1_pricing_summary",
+    for k in ("quality_filter_decisions", "kept_corpus", "toxicity_flags",
               "exact_dedup", "bm25_topk"):
         assert k in q, f"previously-verified entry vanished: {k}"
     # every oracle key corresponds to a real query

@@ -1,15 +1,12 @@
-"""SCD Type-2 intervals (functions/scd.py), MERGE apply
-(functions/snapshot.snapshot_merge) and windowed exact COUNT DISTINCT
-(functions/windows.events_hourly_distinct_users): planted-truth kernels on
-tiny synthetic tables + DuckDB hash parity at sf0.001 (the driver compare).
+"""MERGE apply (functions/snapshot.snapshot_merge) and windowed exact COUNT
+DISTINCT (functions/windows.events_hourly_distinct_users): DuckDB hash
+parity at sf0.001 plus key-set invariants.
 """
 
 import hashlib
-import os
 
 import duckdb
 import pandas as pd
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -32,85 +29,6 @@ def _duck(sf_dir: str, sql: str) -> pd.DataFrame:
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
     return con.execute(sql).df()
-
-
-# --------------------------------------------------------------------------
-# SCD Type-2 intervals
-# --------------------------------------------------------------------------
-
-
-def _write_events(tmp_path, rows) -> str:
-    d = str(tmp_path)
-    t = pa.table(
-        {
-            "event_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-            "user_id": pa.array([r[2] for r in rows], pa.int64()),
-            "event_type": pa.array([r[3] for r in rows], pa.string()),
-        }
-    )
-    pq.write_table(t, os.path.join(d, "events.parquet"))
-    return d
-
-
-def test_user_type_intervals_planted(ray_session, tmp_path):
-    import numpy as np
-
-    from safe_zone_ray.functions.scd import user_type_intervals
-
-    us = np.datetime64("2026-01-01T00:00:00", "us")
-
-    def ts(m):
-        return (us + np.timedelta64(m, "m")).astype("datetime64[us]").item()
-
-    # user 1: view view buy view  -> 3 runs; user 2: buy -> 1 open run;
-    # equal-ts tie inside user 3 broken by event_id (view(id=6) then buy(7))
-    rows = [
-        (1, ts(0), 1, "view"),
-        (2, ts(1), 1, "view"),
-        (3, ts(2), 1, "buy"),
-        (4, ts(3), 1, "view"),
-        (5, ts(0), 2, "buy"),
-        (6, ts(5), 3, "view"),
-        (7, ts(5), 3, "buy"),
-    ]
-    d = _write_events(tmp_path, rows)
-    got = (
-        user_type_intervals(d)
-        .to_pandas()
-        .sort_values(["user_id", "valid_from", "event_type"])
-        .reset_index(drop=True)
-    )
-    assert list(got.columns) == [
-        "user_id",
-        "event_type",
-        "valid_from",
-        "valid_to",
-        "n_events",
-    ]
-    u1 = got[got.user_id == 1]
-    assert list(u1.event_type) == ["view", "buy", "view"]
-    assert list(u1.n_events) == [2, 1, 1]
-    # closed intervals chain: valid_to of run i == valid_from of run i+1
-    assert u1.iloc[0].valid_to == u1.iloc[1].valid_from
-    assert u1.iloc[1].valid_to == u1.iloc[2].valid_from
-    assert pd.isna(u1.iloc[2].valid_to)  # current run stays open
-    u2 = got[got.user_id == 2]
-    assert len(u2) == 1 and pd.isna(u2.iloc[0].valid_to)
-    u3 = got[got.user_id == 3].sort_values("event_type", ascending=False)
-    assert list(u3.event_type) == ["view", "buy"]  # event_id tie-break
-
-
-def test_user_type_intervals_oracle_parity(ray_session):
-    from safe_zone_ray.functions.scd import (
-        user_type_intervals,
-        user_type_intervals_oracle_sql,
-    )
-
-    got = user_type_intervals(SF_DIR).to_pandas()
-    want = _duck(SF_DIR, user_type_intervals_oracle_sql())
-    assert len(got) == len(want)
-    assert _value_hash(got) == _value_hash(want)
 
 
 # --------------------------------------------------------------------------

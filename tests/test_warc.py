@@ -252,3 +252,53 @@ def test_write_wet_round_trip(ray_session, tmp_path):
     assert data.startswith(b"WARC/1.0\r\nWARC-Type: warcinfo")
     # no stray tmp files left inside the output dir
     assert not [p for p in os.listdir(out) if p.endswith(".part")]
+
+
+def test_concurrent_wet_exports_to_sibling_dirs_both_publish(monkeypatch, tmp_path):
+    """Two exports of the same rows to sibling dirs, interleaved so that both
+    write their tmp file before either publishes (a barrier after the write
+    forces it). Same rows means the same published name, and the tmp files
+    sit side by side in the shared parent. Each export must still publish a
+    correct archive, and no ``.part`` file may be left behind."""
+    import threading
+
+    import safe_zone_ray.sources.warc as warc
+
+    urls = [f"https://h.example/{i}" for i in range(5)]
+    texts = [f"doc {i} body ñ" for i in range(5)]
+    ref = tmp_path / "ref.warc"
+    write_warc(
+        [{"type": "warcinfo", "url": None}]
+        + [{"type": "conversion", "url": u, "text": t} for u, t in zip(urls, texts)],
+        str(ref),
+    )
+
+    barrier = threading.Barrier(2, timeout=30)
+    real_write = warc.write_warc
+
+    def write_then_wait(records, path, compress=False):
+        real_write(records, path, compress=compress)
+        barrier.wait()
+
+    monkeypatch.setattr(warc, "write_warc", write_then_wait)
+    published, errors = {}, []
+
+    def export(d):
+        os.makedirs(tmp_path / d)
+        try:
+            published[d] = warc._publish_wet(str(tmp_path / d), urls, texts, True)
+        except Exception as ex:  # surfaced by the assert below
+            errors.append(ex)
+
+    threads = [threading.Thread(target=export, args=(d,)) for d in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors, errors
+    assert os.path.basename(published["a"]) == os.path.basename(published["b"])
+    for d in ("a", "b"):
+        assert published[d].startswith(str(tmp_path / d))
+        with open(published[d], "rb") as f:
+            assert gzip.decompress(f.read()) == ref.read_bytes()
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".part")]
