@@ -78,7 +78,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         windows,
     )
     from safe_zone_ray.pipelines.quality_filter import per_host_stats
-    from safe_zone_ray.stages import multimodal
 
     def q_quality_filter_decisions(sf_dir):
         return _decisions(sf_dir).select_columns(
@@ -684,20 +683,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "per_host_distinct_urls": __import__(
             "safe_zone_ray.functions.sketch", fromlist=["per_host_distinct_urls"]
         ).per_host_distinct_urls,
-        "media_image_features": multimodal.media_image_features,
-        "media_audio_features": multimodal.media_audio_features,
-        "media_dhash_dedup_pairs": multimodal.media_dhash_dedup_pairs,
-        "media_audio_dedup_pairs": multimodal.media_audio_dedup_pairs,
-        "media_video_features": multimodal.media_video_features,
-        "media_video_dedup_pairs": multimodal.media_video_dedup_pairs,
-        "media_video_dedup_pairs_mjpeg": lambda sf_dir: multimodal.media_video_dedup_pairs(
-            sf_dir, codec="mjpeg_frames"
-        ),
-        "media_dedup_manifest": multimodal.media_dedup_manifest,
-        "incremental_media_dedup": multimodal.incremental_media_dedup,
-        "incremental_media_dedup_banded": lambda sf_dir: multimodal.incremental_media_dedup(
-            sf_dir, base_layout="banded"
-        ),
         "multi_signal_dedup_clusters": __import__(
             "safe_zone_ray.functions.dedup", fromlist=["multi_signal_dedup_clusters"]
         ).multi_signal_dedup_clusters,
@@ -1111,16 +1096,6 @@ def _query_order(built: dict) -> list[str]:
         "quality_classifier_weights",
         "corpus_prep_manifest",
         "per_host_distinct_urls",
-        "media_image_features",
-        "media_audio_features",
-        "media_dhash_dedup_pairs",
-        "media_audio_dedup_pairs",
-        "media_video_features",
-        "media_video_dedup_pairs",
-        "media_video_dedup_pairs_mjpeg",
-        "media_dedup_manifest",
-        "incremental_media_dedup",
-        "incremental_media_dedup_banded",
         "multi_signal_dedup_clusters",
         "chunk_knn_topk",
         "unigram_vocab",

@@ -189,10 +189,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         timed("word_cooccurrence_pmi", analytics.word_cooccurrence_pmi)
         timed("doc_token_deciles", analytics.doc_token_deciles)
         timed("signup_week_events", windows.signup_week_events)
-        # multimodal near-dup (fixed-size synthetic media; actor-pool decode)
-        timed("media_dhash_dedup_pairs", __import__(
-            "safe_zone_ray.stages.multimodal", fromlist=["media_dhash_dedup_pairs"]
-        ).media_dhash_dedup_pairs)
         # RAG-prep chunk retrieval over the documents table
         timed("chunk_knn_topk", search.chunk_knn_topk)
         # round-4 continuation: table profiling (two streaming passes) and

@@ -19,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from safe_zone_ray.functions.textstats import read_documents
+from safe_zone_ray.functions.textstats import histogram_quantiles, read_documents
 
 # --------------------------------------------------------------------------
 # 1. Per-user time-window self range join → event-type co-occurrence counts
@@ -683,8 +683,6 @@ def doc_length_quantiles_by_lang(
     per group driver-side (tiny for integer-valued columns). No sort of
     the data, no per-group map_groups over raw rows.
     """
-    import math
-
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
     )
@@ -709,16 +707,9 @@ def doc_length_quantiles_by_lang(
     )  # one row per distinct (lang, length) — tiny at any scale
     out_lang, out_q, out_v = [], [], []
     for lang, grp in hist.groupby("lang", sort=True):
-        counts = grp["sum(cnt)"].to_numpy()
-        values = grp["n_chars"].to_numpy()
-        cum = counts.cumsum()
-        n = int(cum[-1])
-        for q in qs:
-            rank = max(1, math.ceil(q * n))
-            idx = int(np.searchsorted(cum, rank))
-            out_lang.append(lang)
-            out_q.append(q)
-            out_v.append(int(values[idx]))
+        out_lang += [lang] * len(qs)
+        out_q += list(qs)
+        out_v += histogram_quantiles(grp["n_chars"].to_numpy(), grp["sum(cnt)"].to_numpy(), qs)
     return pa.Table.from_arrays(
         [
             pa.array(out_lang),

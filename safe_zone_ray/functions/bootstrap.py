@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from safe_zone_ray.functions.textstats import histogram_quantiles
+
 B_REPLICATES = 32
 HASH_A, HASH_B, HASH_C = 1_000_003, 999_983, 12_345
 HASH_M = 1_099_511_627_689  # prime just below 2^40: doc_id*A stays < 2^63
@@ -300,8 +302,7 @@ def bootstrap_median_chars(sf_dir: str, n_replicates: int = B_REPLICATES):
         order = np.argsort(vals)
         vals, w = vals[order], w[order]
         tot = int(w.sum())
-        cum = np.cumsum(w)
-        med = int(vals[np.searchsorted(cum, (tot + 1) // 2)]) if tot else 0
+        med = histogram_quantiles(vals, w, (0.5,))[0] if tot else 0
         b = int(t.column("replicate")[0].as_py())
         return pa.table(
             {

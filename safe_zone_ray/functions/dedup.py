@@ -334,89 +334,29 @@ def popcount64(x: np.ndarray) -> np.ndarray:
     return _POPCOUNT_LUT[by].sum(axis=-1, dtype=np.int32)
 
 
-def bands_for_distance(max_distance: int) -> int:
-    """Smallest band count in {4, 8, 16} with a pigeonhole recall guarantee
-    for ``max_distance`` (needs max_distance < n_bands). Stops at 16 (4-bit
-    band keys): beyond that, slices stop discriminating and every bucket is
-    a near-full scan — the scale path for higher distances is band-key
-    enumeration (HmSearch-style multi-probe), not ever-narrower bands."""
-    for b in (4, 8, 16):
-        if max_distance < b:
-            return b
-    raise ValueError(
-        f"max_distance={max_distance} needs > 16 bands of a 64-bit hash for a "
-        "recall guarantee; use multi-probe band enumeration instead"
-    )
+# Band count for the 64-bit Hamming blocking: 16-bit band keys. Pigeonhole
+# over the bands makes the blocking complete for distances below the count.
+N_HAMMING_BANDS = 4
 
 
-def probe_radius_for(max_distance: int, n_bands: int) -> int:
-    """Smallest per-band probe radius giving a recall GUARANTEE at
-    ``max_distance`` with ``n_bands`` bands: pigeonhole puts <=
-    floor(max_distance / n_bands) differing bits in SOME band; two radius-e
-    balls around band keys intersect iff the band distance <= 2e.
-    ``_probe_masks`` enumerates radius <= 2 only (O(width^2) masks), so the
-    guarantee tops out at max_distance <= 4*n_bands + n_bands - 1; beyond
-    that raise rather than promise a radius the enumerator rejects."""
-    e = (max_distance // n_bands + 1) // 2
-    if e > 2:
-        raise ValueError(
-            f"max_distance={max_distance} with {n_bands} bands needs probe "
-            f"radius {e} > 2; use more bands (<= 16) or reduce the distance"
-        )
-    return e
-
-
-def _probe_masks(width: int, radius: int) -> np.ndarray:
-    """All XOR masks of a ``width``-bit key within ``radius`` bit flips
-    (HmSearch-style enumeration). radius<=2 keeps this 1 / width+1 /
-    O(width^2) masks."""
-    assert 0 <= radius <= 2, radius
-    masks = [0]
-    if radius >= 1:
-        masks += [1 << i for i in range(width)]
-    if radius >= 2:
-        masks += [(1 << i) | (1 << j) for i in range(width) for j in range(i + 1, width)]
-    return np.array(masks, dtype=np.uint64)
-
-
-def hamming_band_rows(
-    ids: np.ndarray,
-    hashes: np.ndarray,
-    content: np.ndarray,
-    n_bands: int = 4,
-    probe_radius: int = 0,
-) -> pa.Table:
+def hamming_band_rows(ids: np.ndarray, hashes: np.ndarray, content: np.ndarray) -> pa.Table:
     """Blocking rows for a 64-bit hash column: each item emits one row per
-    (band, probe key) where probe keys are every ``64 // n_bands``-bit band
-    slice XOR-perturbed within ``probe_radius`` bit flips.
-
-    Recall guarantee (pigeonhole + ball intersection): any pair within
-    Hamming distance d shares at least one emitted (band, key) when
-    ``d // n_bands <= 2 * probe_radius`` — in particular ``d < n_bands``
-    needs no probing. Multi-probe is the SCALE path for higher distances:
-    wide band keys keep their blocking selectivity (a 16-bit key still
-    discriminates at 10^9 items where a 4-bit key would put ~n/16 items in
-    every bucket and trip the MAX_BUCKET cap); the cost is
-    ``n_bands * (width+1)`` rows per item at radius 1 instead of
-    ``n_bands``. ``content`` is the exact-duplicate collapse key."""
-    assert 64 % n_bands == 0 and 2 <= n_bands <= 32, n_bands
-    width = 64 // n_bands
+    band, keyed by its ``64 // N_HAMMING_BANDS``-bit slice of the hash. Any
+    pair within Hamming distance d < N_HAMMING_BANDS shares at least one
+    (band, key) (pigeonhole). ``content`` is the exact-duplicate collapse
+    key."""
+    width = 64 // N_HAMMING_BANDS
     kmask = np.uint64((1 << width) - 1)
-    n = len(ids)
-    masks = _probe_masks(width, probe_radius)
-    m = len(masks)
-    base = np.empty((n, n_bands), dtype=np.uint64)
-    for b in range(n_bands):
-        base[:, b] = (hashes >> np.uint64(width * b)) & kmask
-    # (n, n_bands, m): every probe variant of every band key
-    keys = (base[:, :, None] ^ masks[None, None, :]).astype(np.int64)
+    keys = np.empty((len(ids), N_HAMMING_BANDS), dtype=np.uint64)
+    for b in range(N_HAMMING_BANDS):
+        keys[:, b] = (hashes >> np.uint64(width * b)) & kmask
     return pa.Table.from_arrays(
         [
-            pa.array(np.tile(np.repeat(np.arange(n_bands, dtype=np.int32), m), n)),
-            pa.array(keys.reshape(-1)),
-            pa.array(np.repeat(ids, n_bands * m)),
-            pa.array(np.repeat(content.view(np.int64), n_bands * m)),
-            pa.array(np.repeat(hashes, n_bands * m)),
+            pa.array(np.tile(np.arange(N_HAMMING_BANDS, dtype=np.int32), len(ids))),
+            pa.array(keys.astype(np.int64).reshape(-1)),
+            pa.array(np.repeat(ids, N_HAMMING_BANDS)),
+            pa.array(np.repeat(content.view(np.int64), N_HAMMING_BANDS)),
+            pa.array(np.repeat(hashes, N_HAMMING_BANDS)),
         ],
         names=["band_id", "key", "doc_id", "content_hash", "hash64"],
     )
@@ -438,34 +378,23 @@ _HAMMING_PAIRS_EMPTY = pa.Table.from_arrays(
 
 
 def banded_hamming_pairs(
-    bands: ray.data.Dataset,
-    max_distance: int,
-    what: str,
-    id_name: str = "doc_id",
-    n_bands: int = 4,
-    probe_radius: int = 0,
+    bands: ray.data.Dataset, max_distance: int, what: str
 ) -> ray.data.Dataset:
     """Distinct Hamming-≤max_distance pairs from ``hamming_band_rows`` output:
     hash-bucketed groupby over (band_id, key), in-bucket vectorized
     segmentation with exact-duplicate collapse + ``MAX_BUCKET`` cap, batched
-    pairwise popcount on the representatives, then a (id, dup_id) groupby
-    dedups pairs surfacing from several bands/probes.
+    pairwise popcount on the representatives, then a (doc_id, dup_id)
+    groupby dedups pairs surfacing from several bands.
 
-    Recall: complete for pairs within ``max_distance`` REQUIRES
-    ``max_distance // n_bands <= 2 * probe_radius`` (pigeonhole over
-    64/n_bands-bit slices + probe-ball intersection; the probe_radius=0 case
-    reduces to the classic ``max_distance < n_bands``) — asserted here;
-    ``n_bands`` / ``probe_radius`` must match the values used to build the
-    band rows. Two ways to buy a guarantee at higher distance: narrower
-    bands (cheap rows, but keys stop discriminating at scale — more
-    ``MAX_BUCKET`` caps, each metered via ``state.metrics`` so dropped
-    recall is auditable) or multi-probe over wide bands (more rows per item,
-    selectivity preserved — the 100-TB path, see ``hamming_band_rows``)."""
-    assert max_distance // n_bands <= 2 * probe_radius, (
-        f"recall guarantee needs max_distance // n_bands <= 2*probe_radius "
-        f"({max_distance} // {n_bands} > {2 * probe_radius}); size with "
-        "bands_for_distance() or probe_radius_for()"
-    )
+    Recall is complete only for ``max_distance < N_HAMMING_BANDS``
+    (pigeonhole over the band slices); a larger distance would silently miss
+    pairs, so it raises. Capped buckets are metered via ``state.metrics`` so
+    dropped recall is auditable."""
+    if max_distance >= N_HAMMING_BANDS:
+        raise ValueError(
+            f"max_distance={max_distance}: the {N_HAMMING_BANDS}-band Hamming "
+            f"blocking finds every pair only for max_distance < {N_HAMMING_BANDS}"
+        )
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         band = batch.column("band_id").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -483,7 +412,7 @@ def banded_hamming_pairs(
         ids = group.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         content = group.column("content_hash").to_numpy(zero_copy_only=False)
         hashes = group.column("hash64").to_numpy(zero_copy_only=False).astype(np.uint64)
-        # composite segment id: band < 64, key < 2^32 (n_bands >= 2)
+        # composite segment id: band < 64, key < 2^32
         seg = (band << 32) | key
 
         # 1) exact-duplicate collapse per (segment, content_hash) run: the
@@ -562,12 +491,13 @@ def banded_hamming_pairs(
     pairs = bucketed.groupby("bucket").map_groups(emit_bucket, batch_format="pyarrow")
     out = pairs.groupby(["doc_id", "dup_id"]).min("hamming")
     return out.map_batches(
-        lambda t: t.rename_columns([id_name, "dup_id", "hamming"]), batch_format="pyarrow"
+        lambda t: t.rename_columns(["doc_id", "dup_id", "hamming"]), batch_format="pyarrow"
     )
 
 
 def simhash_pairs(sf_dir: str, max_distance: int = 3) -> ray.data.Dataset:
-    """Hamming-≤max_distance near-dup pairs via 4-band blocking. Exact
+    """Hamming-≤max_distance near-dup pairs via ``N_HAMMING_BANDS``-band
+    blocking (``max_distance`` must be below the band count). Exact
     duplicates collapse to rep→member pairs at distance 0 (linear)."""
 
     def sim_rows(batch: pa.Table) -> pa.Table:

@@ -10,6 +10,7 @@ match bit-for-bit). Python-loop row iteration is deliberately absent.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -326,6 +327,17 @@ def top_bigrams(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     return out.sort(["n", "bigram"], descending=[True, False]).limit(k)
 
 
+def histogram_quantiles(
+    values: np.ndarray, counts: np.ndarray, qs: tuple[float, ...]
+) -> list[int]:
+    """Exact quantiles of a non-empty (value, count) histogram sorted by
+    value: for each q, the value at 1-based rank ceil(q * n) of the expanded
+    column (n = total count) — the rank rule the DuckDB oracles use."""
+    cum = np.cumsum(counts)
+    n = int(cum[-1])
+    return [int(values[np.searchsorted(cum, max(1, math.ceil(q * n)))]) for q in qs]
+
+
 def doc_length_quantiles(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) -> pa.Table:
     """Exact n_chars quantiles via a distributed counting histogram: each
     batch emits (n_chars, count) partials — the combiner — the tiny merged
@@ -333,8 +345,6 @@ def doc_length_quantiles(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) 
     with bounded cardinality (lengths, counts, scores), with no full sort of
     the data. Quantile definition: value at 1-based rank ceil(q * n) of the
     sorted column — the same formula the DuckDB oracle uses."""
-    import math
-
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -352,18 +362,9 @@ def doc_length_quantiles(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) 
         .sort("n_chars")
         .to_pandas()
     )  # merged histogram: one row per distinct length — tiny at any scale
-    counts = hist["sum(cnt)"].to_numpy()
-    values = hist["n_chars"].to_numpy()
-    cum = counts.cumsum()
-    n = int(cum[-1]) if len(cum) else 0
-    out_q, out_v = [], []
-    for q in qs:
-        rank = max(1, math.ceil(q * n))
-        idx = int(np.searchsorted(cum, rank))
-        out_q.append(q)
-        out_v.append(int(values[idx]))
+    out_v = histogram_quantiles(hist["n_chars"].to_numpy(), hist["sum(cnt)"].to_numpy(), qs)
     return pa.Table.from_arrays(
-        [pa.array(out_q, pa.float64()), pa.array(out_v, pa.int64())],
+        [pa.array(list(qs), pa.float64()), pa.array(out_v, pa.int64())],
         names=["q", "n_chars"],
     )
 

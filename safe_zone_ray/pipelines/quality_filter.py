@@ -40,7 +40,6 @@ class PipelineConfig:
     guardrails: tuple[str, ...] = ()
     allowed_langs: tuple[str, ...] = ("en",)
     quality: QualityConfig = field(default_factory=QualityConfig)
-    langquality_concurrency: int | None = None  # None → size to the cluster
     # Actor pool vs stateless tasks for the langquality stage: the model
     # state here is cheap to build, so tasks + per-process cache scale better
     # (no pool spin-up/ramp); flip to True when holding a real heavyweight
@@ -63,8 +62,6 @@ class PipelineConfig:
             raise ValueError(f"invalid mode {self.mode!r}: must be MASK, BLOCK or DETECT")
 
     def resolved_concurrency(self) -> int:
-        if self.langquality_concurrency:
-            return self.langquality_concurrency
         try:
             import ray
 

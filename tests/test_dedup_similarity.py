@@ -545,90 +545,17 @@ def test_multi_signal_clusters_merge_both_signals(ray_session, sf_dir):
         assert rep <= doc
 
 
-def test_multiprobe_banding_guarantees_recall_at_distance(ray_session):
-    """HmSearch-style multi-probe (wide 16-bit bands, radius-1 key
-    enumeration) must find a planted pair at EXACTLY max_distance=10 whose
-    differing bits are spread 3/3/2/2 across the four bands — the adversarial
-    layout where no band matches exactly (probe_radius=0 provably misses it),
-    and the worst case for the pigeonhole bound floor(10/4)=2 <= 2*1."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
+def test_simhash_distance_beyond_band_count_raises(ray_session, sf_dir):
+    """4-band blocking finds every pair only below 4 bits; a larger distance
+    must fail loudly (also under ``python -O``) instead of missing pairs."""
+    import pytest
 
-    from safe_zone_ray.functions.dedup import (
-        banded_hamming_pairs,
-        hamming_band_rows,
-        probe_radius_for,
-    )
+    from safe_zone_ray.functions.dedup import multi_signal_dedup_clusters, simhash_pairs
 
-    rng = np.random.RandomState(7)
-    hashes = rng.randint(0, 2**63, size=40, dtype=np.int64).astype(np.uint64)
-    # plant: item 40 = item 0 with 3/3/2/2 bits flipped per 16-bit band
-    flip = np.uint64(0)
-    for band, nbits in enumerate((3, 3, 2, 2)):
-        for b in range(nbits):
-            flip |= np.uint64(1) << np.uint64(16 * band + 5 * b + 1)
-    hashes = np.concatenate([hashes, [hashes[0] ^ flip]])
-    ids = np.arange(len(hashes), dtype=np.int64)
-    content = ids.astype(np.uint64) * np.uint64(2654435761)  # all distinct
-
-    def pairs_with(probe_radius):
-        rows = hamming_band_rows(
-            ids, hashes, content, n_bands=4, probe_radius=probe_radius
-        )
-        out = banded_hamming_pairs(
-            ray.data.from_arrow(rows), 10, "test", n_bands=4, probe_radius=probe_radius
-        ).take_all()
-        return {(r["doc_id"], r["dup_id"]): r["hamming"] for r in out}
-
-    pr = probe_radius_for(10, 4)
-    assert pr == 1
-    found = pairs_with(pr)
-    assert found.get((0, 40)) == 10, found
-
-    # the radius-0 layout cannot block this pair (no band matches exactly):
-    # build rows WITHOUT probing but claim radius 1 to bypass the guarantee
-    # assert — demonstrates the silent miss the round-3 ADVICE flagged
-    rows0 = hamming_band_rows(ids, hashes, content, n_bands=4, probe_radius=0)
-    out0 = banded_hamming_pairs(
-        ray.data.from_arrow(rows0), 10, "test0", n_bands=4, probe_radius=1
-    ).take_all()
-    assert (0, 40) not in {(r["doc_id"], r["dup_id"]) for r in out0}
-
-
-def test_multiprobe_equals_narrow_band_layout(ray_session):
-    """The two guarantee-preserving layouts (16 narrow 4-bit bands vs 4 wide
-    bands + radius-1 probing) must produce the IDENTICAL pair set for the
-    same max_distance — both are complete, the verify filter is shared."""
-    import numpy as np
-    import ray.data
-
-    from safe_zone_ray.functions.dedup import banded_hamming_pairs, hamming_band_rows
-
-    rng = np.random.RandomState(11)
-    base = rng.randint(0, 2**63, size=60, dtype=np.int64).astype(np.uint64)
-    pert = []
-    for i in range(0, 60, 5):
-        d = int(rng.randint(0, 12))
-        bits = rng.choice(64, size=d, replace=False)
-        f = np.uint64(0)
-        for b in bits:
-            f |= np.uint64(1) << np.uint64(b)
-        pert.append(base[i] ^ f)
-    hashes = np.concatenate([base, pert])
-    ids = np.arange(len(hashes), dtype=np.int64)
-    content = ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-
-    def run(n_bands, probe_radius):
-        rows = hamming_band_rows(
-            ids, hashes, content, n_bands=n_bands, probe_radius=probe_radius
-        )
-        out = banded_hamming_pairs(
-            ray.data.from_arrow(rows), 10, "eq", n_bands=n_bands, probe_radius=probe_radius
-        ).take_all()
-        return sorted((r["doc_id"], r["dup_id"], r["hamming"]) for r in out)
-
-    assert run(16, 0) == run(4, 1)
+    with pytest.raises(ValueError, match="max_distance < 4"):
+        simhash_pairs(sf_dir, max_distance=4)
+    with pytest.raises(ValueError, match="max_distance < 4"):
+        multi_signal_dedup_clusters(sf_dir, max_distance=4)
 
 
 def test_global_line_dedup_planted(ray_session, tmp_path):
@@ -799,20 +726,6 @@ def test_global_line_dedup_random_corpus_vs_oracle(ray_session, tmp_path):
         for r in con.execute(global_line_dedup_oracle_sql()).fetchall()
     }
     assert got == want
-
-
-def test_probe_radius_for_bounds():
-    import pytest
-
-    from safe_zone_ray.functions.dedup import probe_radius_for
-
-    assert probe_radius_for(3, 4) == 0
-    assert probe_radius_for(10, 4) == 1
-    assert probe_radius_for(15, 4) == 2  # floor(15/4)=3 <= 2*2
-    assert probe_radius_for(19, 4) == 2
-    with pytest.raises(ValueError, match="probe"):
-        probe_radius_for(20, 4)  # would need radius 3 > enumerator bound
-    assert probe_radius_for(20, 8) == 1  # more bands instead
 
 
 def test_prefix_dedup_planted(planted_docs_dir):

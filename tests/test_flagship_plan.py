@@ -46,7 +46,7 @@ def test_decisions_invariant_to_layout_and_mode(pages_dir):
     base = _decisions(build_quality_filter(pages_dir, PipelineConfig()))
     assert len(base) == 2000
     for actor_pool in (False, True):
-        cfg = PipelineConfig(langquality_actor_pool=actor_pool, langquality_concurrency=2)
+        cfg = PipelineConfig(langquality_actor_pool=actor_pool)
         for num_blocks in (1, 3, 8):
             got = _decisions(build_quality_filter(_read(pages_dir, num_blocks), cfg))
             assert got == base, (actor_pool, num_blocks)

@@ -2,7 +2,7 @@
 
 The rows-only ``queries()`` entries have no DuckDB oracle (uint64-wraparound
 MinHash/SimHash/LSH arithmetic, k-means codebooks, iterative BPE merging,
-binary media kernels and other kernels SQL cannot express).
+and other kernels SQL cannot express).
 Planted-truth tests pin their SEMANTICS; these fixtures pin their exact
 OUTPUT: the driver-style order-insensitive value hash (sorted columns,
 stringified rows, sorted, sha256 — same algorithm as
@@ -50,27 +50,6 @@ GOLDEN = {
     "quality_classifier_weights": ("a7bea768ec42d78a", 4),
     "corpus_prep_manifest": ("ca99ea8c033a6870", 1),
     "duplicate_passages": ("8acbf857a27fbb14", 23),
-    # regenerated twice this round: synthesize_media_batch now rotates jpeg
-    # (real T.81 decoder) and then gif (palette-quantized LZW) payloads
-    # into the image rows
-    "media_image_features": ("7cc22da672892d1d", 100),
-    # audio regenerated when the gain-invariant energy-contour fingerprint
-    # column was added for the audio near-dup pass
-    "media_audio_features": ("f3c5e92cf1045aff", 100),
-    # multimodal near-dup pairs over PLANTED perturbed copies (brightness
-    # shift / 1.02 gain): recall is pinned in test_multimodal.py, output
-    # frozen here
-    "media_dhash_dedup_pairs": ("bba8e61aa74e5748", 14),
-    "media_audio_dedup_pairs": ("b4db9f973bb60435", 14),
-    # video: frame-sampling feature stage + first-frame-dhash near-dup
-    "media_video_features": ("93c495e9d162a8de", 100),
-    "media_video_dedup_pairs": ("f1533985b902f89e", 14),
-    "media_video_dedup_pairs_mjpeg": ("3043e5f322ff2db8", 14),
-    # composed media pipeline: pairs -> connected components -> drop counts
-    "media_dedup_manifest": ("83ebf623261e36de", 3),
-    # broadcast-index incremental media dedup (new shard vs prior corpus)
-    "incremental_media_dedup": ("6d2acae831a0ec13", 100),
-    "incremental_media_dedup_banded": ("e122021e26edb37d", 100),
     # MinHash ∪ SimHash pair streams -> one connected-components pass
     "multi_signal_dedup_clusters": ("c2c5bb613e028107", 51),
     # RAG-prep composition: chunk -> embed-in-batch -> broadcast-query knn

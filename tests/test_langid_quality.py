@@ -91,7 +91,7 @@ def test_word_lm_pipeline_column(ray_session):
     from safe_zone_ray.pipelines.quality_filter import PipelineConfig, build_quality_filter
 
     pages = synthesize_pages_dir("/root/testdata/sf0.001")
-    cfg = PipelineConfig(word_lm_sample_rows=200, langquality_concurrency=2)
+    cfg = PipelineConfig(word_lm_sample_rows=200)
     ds = build_quality_filter(pages, cfg)
     rows = ds.select_columns(["word_perplexity", "lang_id"]).take(50)
     assert all(r["word_perplexity"] > 0 for r in rows)

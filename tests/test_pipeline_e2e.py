@@ -22,7 +22,7 @@ def pages_dir(ray_session):
 
 @pytest.fixture(scope="module")
 def decisions(ray_session, pages_dir):
-    cfg = PipelineConfig(langquality_concurrency=2)
+    cfg = PipelineConfig()
     ds = build_quality_filter(pages_dir, cfg)
     return ds.materialize()
 
@@ -126,7 +126,7 @@ def test_per_host_stats(decisions):
 def test_actor_pool_variant(ray_session, pages_dir):
     """The actor-pool form of the langquality stage (T4 shape) produces the
     same decisions as the cached-task form."""
-    cfg = PipelineConfig(langquality_actor_pool=True, langquality_concurrency=2)
+    cfg = PipelineConfig(langquality_actor_pool=True)
     ds = build_quality_filter(pages_dir, cfg)
     rows = {r["url"]: (r["lang_id"], r["keep"], r["drop_reason"])
             for r in ds.select_columns(["url", "lang_id", "keep", "drop_reason"]).take_all()}
