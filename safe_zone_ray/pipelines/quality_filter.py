@@ -2,10 +2,13 @@
 decide (SURVEY.md section 3.5).
 
 The four stage kernels run in turn on each read block inside ONE
-``map_batches(batch_size=None)`` call fused with the read: one task per read
-block, so every CPU gets work. Any ``batch_size`` would make Ray bundle read
-blocks up to that many rows per task, which idles cores on inputs of a few
-blocks.
+``map_batches(batch_size=None)`` call. ``read_pages`` reads one block per
+input file and sets a block-size target on the plan's own context near the
+real block size (see its docstring for the rule and the Ray estimate it
+corrects), so the read, the chain and the write fuse into one operator whose
+tasks, one per file, are all admitted at once. Any ``batch_size`` would make
+Ray bundle read blocks up to that many rows per task, which idles cores on
+inputs of a few blocks.
 
 - extract: Arrow in/out; drops the wide ``html`` column immediately, so it
   never leaves the task (object-store memory rule);

@@ -10,18 +10,67 @@ from __future__ import annotations
 
 import ray.data
 
+PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
+
+MIN_BLOCK_BYTES = 1 << 20
+
 
 def read_pages(
     pages_path: str | list[str],
     include_paths: bool = False,
     columns: list[str] | None = None,
 ) -> ray.data.Dataset:
-    """Column-pruned streaming read of the pages table."""
-    return ray.data.read_parquet(
+    """Column-pruned streaming read of the pages table, one block per input
+    file, with every read task admitted at once.
+
+    The read plan is worked out from the input:
+
+    - one read task and one block per Parquet file (``override_num_blocks``
+      = number of files), so Ray adds no ``SplitBlocks`` op and the read
+      fuses with the stages and the write into one operator;
+    - the Dataset's own ``DataContext.target_max_block_size`` is set to
+      twice the largest file's footer-uncompressed size over the read
+      columns, clamped to [1 MiB, Ray's default].
+
+    The target matters because, until a task of an operator finishes, Ray
+    Data estimates each running task's pending output as
+    ``target_max_block_size`` (128 MiB by default) times its streaming
+    generator buffer of 2 blocks (``ray/data/_internal/execution/interfaces/
+    op_runtime_metrics.py:585-604``, Ray 2.49.2). Against a small object
+    store that 256 MiB guess admits one task alone until it reports its real
+    output size, a few MB, and the other CPUs idle meanwhile. A target near
+    the real block size makes the guess right from the start. Only this
+    plan's copy of the context changes; the global one is left alone.
+    """
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+    columns = columns or PAGES_COLUMNS
+    # the files ray.data.read_parquet finds for the same path(s)
+    found = pads.dataset(pages_path, format="parquet")
+    largest = 0
+    for f in found.files:
+        meta = pq.read_metadata(f, filesystem=found.filesystem)
+        read = [
+            i for i in range(meta.num_columns) if meta.schema.column(i).path.split(".")[0] in columns
+        ]
+        size = sum(
+            meta.row_group(g).column(i).total_uncompressed_size
+            for g in range(meta.num_row_groups)
+            for i in read
+        )
+        largest = max(largest, size)
+    ds = ray.data.read_parquet(
         pages_path,
-        columns=columns or ["url", "warc_ts", "html", "text", "lang"],
+        columns=columns,
         include_paths=include_paths,
+        override_num_blocks=len(found.files) or None,
     )
+    ds.context.target_max_block_size = min(
+        DEFAULT_TARGET_MAX_BLOCK_SIZE, max(MIN_BLOCK_BYTES, 2 * largest)
+    )
+    return ds
 
 
 def write_decisions(ds: ray.data.Dataset, out_dir: str, partition_cols: list[str] | None = None) -> None:
@@ -31,9 +80,6 @@ def write_decisions(ds: ray.data.Dataset, out_dir: str, partition_cols: list[str
         ds.write_parquet(out_dir, partition_cols=partition_cols)
     else:
         ds.write_parquet(out_dir)
-
-
-PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 
 
 def _coerce_pages_batch(batch):

@@ -81,8 +81,9 @@ def detect_scrub_batch(
                             per_row[j].add(name)
                 for j, i in enumerate(dirty_idx):
                     subsets[i] = frozenset(per_row[j])
-        except Exception:
-            # user rule pack with a non-RE2 construct → per-row re fallback
+        except pa.ArrowInvalid:
+            # user rule pack with a construct RE2 rejects (a lookaround, a
+            # backreference) → per-row re fallback for this batch
             dirty = [compiled.any_hit.search(t or "") is not None for t in texts]
     else:
         dirty = [True] * len(texts)

@@ -28,6 +28,36 @@ def _host_of(url: str) -> str:
     return url[start:j] if j >= 0 else url[start:]
 
 
+def _extract_html(htmls_bin: pa.Array) -> pa.Array:
+    """Binary html → extracted text. The vectorized Arrow RE2 chain
+    (extract.extract_text_column) takes every row it can; per-row Python
+    only for rows it can't express exactly: entities and exotic whitespace
+    (inside extract_text_column) and invalid UTF-8 (here, through
+    extract_text's decode-replace)."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from safe_zone_ray.extract import extract_text_column
+
+    try:
+        return extract_text_column(pc.cast(htmls_bin, pa.string()))
+    except pa.ArrowInvalid:
+        pass
+    # the cast failed: find the invalid rows, keep the rest vectorized
+    raws = htmls_bin.to_pylist()
+    bad = np.zeros(len(raws), dtype=bool)
+    for i, h in enumerate(raws):
+        if h is not None:
+            try:
+                h.decode("utf-8")
+            except UnicodeDecodeError:
+                bad[i] = True
+    good = extract_text_column(pc.cast(htmls_bin.filter(pa.array(~bad)), pa.string()))
+    fixed = pa.array([extract_text(raws[i]) for i in np.flatnonzero(bad)], pa.string())
+    out = pc.replace_with_mask(pa.nulls(len(raws), pa.string()), pa.array(~bad), good)
+    return pc.replace_with_mask(out, pa.array(bad), fixed)
+
+
 def extract_batch(batch: pa.Table) -> pa.Table:
     """pages(url, warc_ts, html, text, lang) →
     (url, warc_ts, text_extracted, claimed_lang, host)."""
@@ -35,24 +65,12 @@ def extract_batch(batch: pa.Table) -> pa.Table:
 
     # rows that already carry text stay in Arrow untouched; only null-text
     # rows pay for html materialisation + extraction, and their results are
-    # scattered back in. Extraction itself is the vectorized Arrow RE2 chain
-    # (extract.extract_text_column); per-row Python only for rows the
-    # vectorized path can't express exactly (entities / exotic whitespace /
-    # invalid UTF-8).
+    # scattered back in.
     texts = pc.cast(batch.column("text").combine_chunks(), pa.string())
     if texts.null_count:
-        from safe_zone_ray.extract import extract_text_column
-
         is_null = pc.is_null(texts)
         htmls_bin = pc.filter(batch.column("html"), is_null).combine_chunks()
-        try:
-            extracted = extract_text_column(pc.cast(htmls_bin, pa.string()))
-        except pa.lib.ArrowInvalid:
-            # invalid UTF-8 somewhere in the batch: per-row decode-replace path
-            extracted = pa.array(
-                [extract_text(h or b"") for h in htmls_bin.to_pylist()], pa.string()
-            )
-        texts = pc.replace_with_mask(texts, is_null, extracted)
+        texts = pc.replace_with_mask(texts, is_null, _extract_html(htmls_bin))
     hosts = pc.struct_field(pc.extract_regex(batch.column("url"), _HOST_RE), [0])
     arrays = [
         batch.column("url"),

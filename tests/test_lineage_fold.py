@@ -12,7 +12,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
 
+from safe_zone_ray.sources.pages_io import PAGES_COLUMNS
 from safe_zone_ray.state import lineage
 from safe_zone_ray.state.lineage import (
     _tag_fragment,
@@ -98,8 +100,7 @@ def test_tag_fragment_matches_fragment_id_of(path):
 def pages(ray_session):
     from safe_zone_ray.pages import synthesize_pages_dir
 
-    # 500 docs x 4 variants / 1000 rows per file -> 2 fragments, each read
-    # as several blocks, so each fragment's lineage merges several partials
+    # 500 docs x 4 variants / 1000 rows per file -> 2 fragments
     return synthesize_pages_dir(
         "/root/testdata/sf0.001",
         out_dir="/tmp/szr_pages_lineage_fold",
@@ -132,7 +133,19 @@ def _recount(out_dir: str, frag: str) -> dict:
     }
 
 
-def test_job_lineage_equals_recount_of_written_files(pages, tmp_path):
+def _split_read(paths, include_paths=False, columns=None):
+    """Each file read as two blocks, so each fragment's rows are written by
+    several tasks and its lineage merges several partials."""
+    return ray.data.read_parquet(
+        paths,
+        columns=columns or PAGES_COLUMNS,
+        include_paths=include_paths,
+        override_num_blocks=2 * len(paths),
+    )
+
+
+def test_job_lineage_equals_recount_of_written_files(pages, tmp_path, monkeypatch):
+    monkeypatch.setattr(lineage, "read_pages", _split_read)
     out = str(tmp_path / "job")
     result = run_job(pages, out)
     inputs = sorted(glob.glob(os.path.join(pages, "*.parquet")))
@@ -148,6 +161,20 @@ def test_job_lineage_equals_recount_of_written_files(pages, tmp_path):
         assert rec["input_path"] == path and rec["fragment_id"] == frag
         with open(os.path.join(out, "_manifest", f"{frag}.json")) as f:
             assert json.load(f) == {"fragment_id": frag, "rows": want["rows"]}
+
+
+def test_default_plan_writes_one_file_per_fragment(pages, tmp_path):
+    """The default read plan gives each input file one block and one task,
+    so each fragment directory holds exactly one decisions file."""
+    out = str(tmp_path / "job")
+    run_job(pages, out)
+    for path in sorted(glob.glob(os.path.join(pages, "*.parquet"))):
+        frag = fragment_id_of(path)
+        want = _recount(out, frag)
+        assert want.pop("files") == 1
+        with open(os.path.join(out, "_lineage", f"{frag}.json")) as f:
+            rec = json.load(f)
+        assert {k: rec[k] for k in want} == want
 
 
 def test_row_mismatch_commits_no_manifest(pages, tmp_path, monkeypatch):
