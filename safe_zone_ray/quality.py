@@ -22,6 +22,9 @@ from safe_zone_ray.langid import PROFILES
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
+# RE2 form of ``_WS_RE.sub(" ", ...)`` for the batch path: it matches only
+# the whitespace that a collapse to one space changes
+WS_COLLAPSE_PATTERN = r"\s\s+|[\t\n\f\r]"
 _SYMBOL_RE_PATTERN = r"[#@$%^&*+=<>~|\\{}\[\]]"  # shared with the RE2 batch path
 _SYMBOL_RE = re.compile(_SYMBOL_RE_PATTERN)
 _ELLIPSIS_RE = re.compile(r"\.\.\.|…")
@@ -80,20 +83,39 @@ class CharBigramLM:
 
     def perplexity_batch(self, lower_arr, max_chars: int = 2000):
         """Vectorized batch scoring, numerically identical to calling
-        ``perplexity`` per row: normalise with Arrow kernels (slice →
-        collapse whitespace → trim), then score every row's byte pairs in
-        ONE gather over the concatenated buffer, masking pairs that cross
-        row boundaries, and segment-sum with ``np.add.reduceat``.
+        ``perplexity`` per row: normalise with Arrow kernels
+        (``normalise_batch``), then score every row's byte pairs in ONE
+        gather over the concatenated buffer (``score_normalised``).
 
         ``lower_arr`` is a lowercased Arrow string array; returns a float64
         numpy array."""
+        return self.score_normalised(self.normalise_batch(lower_arr, max_chars))
+
+    @staticmethod
+    def normalise_batch(lower_arr, max_chars: int = 2000):
+        r"""What ``perplexity`` scores, per row: the first ``max_chars``
+        codepoints, whitespace runs collapsed to one space, trimmed.
+
+        The collapse (``WS_COLLAPSE_PATTERN``) replaces only the whitespace
+        that changes: runs of two or more, and a single ``\t``, ``\n``,
+        ``\f`` or ``\r``. A lone space is its own replacement, so the
+        strings equal those of ``\s+`` → " " with about a tenth of the
+        matches. RE2's ``\s`` is ASCII-only; rows where Python's ``\s``
+        differs take the langquality stage's per-row fallback."""
+        import pyarrow.compute as pc
+
+        s = pc.utf8_slice_codeunits(lower_arr, 0, max_chars)
+        s = pc.replace_substring_regex(s, WS_COLLAPSE_PATTERN, " ")
+        return pc.utf8_trim_whitespace(s)
+
+    def score_normalised(self, s):
+        """Perplexity of each normalised row: one byte-pair gather over the
+        concatenated buffer, pairs that cross a row boundary masked, and a
+        segment sum with ``np.add.reduceat``."""
         import numpy as np
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        s = pc.utf8_slice_codeunits(lower_arr, 0, max_chars)
-        s = pc.replace_substring_regex(s, r"\s+", " ")
-        s = pc.utf8_trim_whitespace(s)
         binary = pc.cast(s, pa.binary())
         if isinstance(binary, pa.ChunkedArray):
             binary = binary.combine_chunks()
@@ -107,7 +129,9 @@ class CharBigramLM:
         data = np.frombuffer(binary.buffers()[2], dtype=np.uint8)
         if len(data) < 2:
             return out
-        pair_lp = self._logp[data[:-1], data[1:]]
+        # the same entries as self._logp[data[:-1], data[1:]], gathered by
+        # flat 16-bit index (about twice as fast as 2-D fancy indexing)
+        pair_lp = self._logp.ravel().take((data[:-1].astype(np.uint16) << 8) | data[1:])
         # zero out pairs that straddle a row boundary (position offsets[i]-1)
         boundary = offsets[1:-1] - 1
         boundary = boundary[(boundary >= 0) & (boundary < len(pair_lp))]

@@ -2,14 +2,18 @@
 
 Stateless ``map_batches`` tasks (SURVEY.md section 7.2): the compiled registry
 is process-cached (``get_compiled_registry`` lru) — the Ray analogue of the
-reference's process-global regex ``sync.Map`` (guardrails.go:19-32). Each row
-runs the reference-faithful ``detect_one`` with ``rid = url``; a fused any-hit
-prefilter regex (one linear scan) short-circuits the ~90% of corpus rows with
-no candidates, so the full 20-pattern pass only runs on dirty rows.
+reference's process-global regex ``sync.Map`` (guardrails.go:19-32). A fused
+any-hit prefilter regex (one linear scan) marks the dirty rows, ~10% of a web
+corpus; only those become Python strings and run the reference-faithful
+``detect_one`` with ``rid = url``. Their results are scattered back into the
+output columns: ``scrubbed_text`` by ``replace_with_mask`` over the text, the
+other columns by a ``take`` that gives every clean row one shared empty
+result, so clean rows never leave Arrow.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 from safe_zone_ray.core.detect import detect_one
@@ -52,58 +56,23 @@ def detect_scrub_batch(
         get_block_threshold(compiled.registry.block_threshold),
     )
 
+    # one chunk: take indices and the replace mask are then batch-wide
     text_arr = batch.column(text_column)
-    texts = text_arr.to_pylist()
-    urls = batch.column("url").to_pylist()
+    if isinstance(text_arr, pa.ChunkedArray):
+        text_arr = text_arr.combine_chunks()
+    dirty, subsets = _dirty_rows(text_arr, compiled, run_validators)
 
-    # Vectorized any-hit prefilter: ONE Arrow RE2 scan over the whole column
-    # decides which rows need the full per-pattern pass (clean rows — the
-    # overwhelming majority of a web corpus — take the fast path below).
-    subsets: list[frozenset[str] | None] = [None] * len(texts)
-    if compiled.any_hit is not None and not run_validators:
-        try:
-            dirty = pc.fill_null(
-                pc.match_substring_regex(text_arr, compiled.any_hit.pattern), True
-            ).to_pylist()
-            # Per-pattern vectorized prefilter over the dirty subset only:
-            # each RE2 kernel call marks which rows that pattern can match,
-            # so detect_one scans 1-2 patterns per dirty row instead of 20.
-            dirty_idx = [i for i, d in enumerate(dirty) if d]
-            if dirty_idx:
-                dirty_arr = text_arr.take(pa.array(dirty_idx, pa.int64()))
-                per_row: list[set[str]] = [set() for _ in dirty_idx]
-                for name, scoped in compiled.scoped_patterns:
-                    hits = pc.fill_null(
-                        pc.match_substring_regex(dirty_arr, scoped), True
-                    ).to_pylist()
-                    for j, h in enumerate(hits):
-                        if h:
-                            per_row[j].add(name)
-                for j, i in enumerate(dirty_idx):
-                    subsets[i] = frozenset(per_row[j])
-        except pa.ArrowInvalid:
-            # user rule pack with a construct RE2 rejects (a lookaround, a
-            # backreference) → per-row re fallback for this batch
-            dirty = [compiled.any_hit.search(t or "") is not None for t in texts]
-    else:
-        dirty = [True] * len(texts)
-
+    # Only the dirty rows become Python objects and run detect_one; their
+    # results are scattered back, every clean row gets the empty result and
+    # keeps its text as it is.
+    rows = np.flatnonzero(dirty)
+    texts = text_arr.take(rows).to_pylist()
+    urls = batch.column("url").take(rows).to_pylist()
     det_col, val_col, brk_col = [], [], []
     scrubbed, contains_pii, blocked, overall = [], [], [], []
-    for url, text, is_dirty, subset in zip(urls, texts, dirty, subsets):
-        text = text or ""
-        if not is_dirty:
-            # clean fast path — no candidates anywhere in the text
-            det_col.append([])
-            val_col.append([])
-            brk_col.append({})
-            scrubbed.append(text)
-            contains_pii.append(False)
-            blocked.append(mode == "BLOCK" and False)
-            overall.append(0.0)
-            continue
+    for url, text, subset in zip(urls, texts, subsets or [None] * len(rows)):
         res = detect_one(
-            text,
+            text or "",
             compiled,
             mode=mode,
             rid=url,
@@ -137,12 +106,53 @@ def detect_scrub_batch(
         blocked.append(res.blocked)
         overall.append(res.overall_confidence)
 
-    return (
-        batch.append_column("detections", pa.array(det_col, DETECTION_TYPE))
-        .append_column("validator_results", pa.array(val_col, VALIDATOR_TYPE))
-        .append_column("breakdown", pa.array(brk_col, BREAKDOWN_TYPE))
-        .append_column("scrubbed_text", pa.array(scrubbed, pa.string()))
-        .append_column("contains_pii", pa.array(contains_pii, pa.bool_()))
-        .append_column("pii_blocked", pa.array(blocked, pa.bool_()))
-        .append_column("overall_confidence", pa.array(overall, pa.float32()))
+    # position of each row's value in [dirty results..., empty result]
+    slot = np.full(len(text_arr), len(rows), dtype=np.int64)
+    slot[rows] = np.arange(len(rows))
+
+    def scatter(values: list, typ: pa.DataType, empty) -> pa.Array:
+        return pa.concat_arrays([pa.array(values, typ), pa.array([empty], typ)]).take(slot)
+
+    scrubbed_text = pc.replace_with_mask(
+        pc.fill_null(text_arr, ""), pa.array(dirty), pa.array(scrubbed, pa.string())
     )
+    return (
+        batch.append_column("detections", scatter(det_col, DETECTION_TYPE, []))
+        .append_column("validator_results", scatter(val_col, VALIDATOR_TYPE, []))
+        .append_column("breakdown", scatter(brk_col, BREAKDOWN_TYPE, {}))
+        .append_column("scrubbed_text", scrubbed_text)
+        .append_column("contains_pii", scatter(contains_pii, pa.bool_(), False))
+        .append_column("pii_blocked", scatter(blocked, pa.bool_(), False))
+        .append_column("overall_confidence", scatter(overall, pa.float32(), 0.0))
+    )
+
+
+def _dirty_rows(text_arr: pa.Array, compiled, run_validators: bool):
+    """Which rows need ``detect_one``, as a numpy bool mask, and for each of
+    them the patterns it can match (``None``: scan them all).
+
+    With validators every row is dirty. Otherwise a fused any-hit RE2 scan
+    (one linear pass) marks the rows with a candidate, ~10% of a web corpus;
+    per-pattern scans over that subset then narrow each row's pattern set, so
+    ``detect_one`` scans 1-2 patterns per dirty row instead of 20. A user
+    rule pack with a construct RE2 rejects (a lookaround, a backreference)
+    falls back to Python ``re`` for the any-hit test of this batch."""
+    import pyarrow.compute as pc
+
+    if compiled.any_hit is None or run_validators:
+        return np.ones(len(text_arr), dtype=bool), None
+    try:
+        dirty = pc.fill_null(
+            pc.match_substring_regex(text_arr, compiled.any_hit.pattern), True
+        ).to_numpy(zero_copy_only=False)
+        dirty_arr = text_arr.filter(pa.array(dirty))
+        per_row: list[set[str]] = [set() for _ in range(len(dirty_arr))]
+        for name, scoped in compiled.scoped_patterns:
+            hits = pc.fill_null(pc.match_substring_regex(dirty_arr, scoped), True)
+            for j in np.flatnonzero(hits.to_numpy(zero_copy_only=False)):
+                per_row[j].add(name)
+        return dirty, [frozenset(s) for s in per_row]
+    except pa.ArrowInvalid:
+        texts = text_arr.to_pylist()
+        dirty = np.array([compiled.any_hit.search(t or "") is not None for t in texts], bool)
+        return dirty, None

@@ -91,36 +91,32 @@ class LangQualityStage:
         """Vectorized scoring: all counting metrics and per-language stopword
         hits are Arrow RE2 kernels over the whole column (a ``\\b(w1|w2|…)\\b``
         count equals token-set membership because every ``\\w+`` token is
-        boundary-flanked); only perplexity (numpy gather) and duplicate-line
-        hashing remain per-row. Equivalence with the per-row reference scorer
-        is pinned by tests/test_langquality_vectorized.py."""
+        boundary-flanked); perplexity is one numpy gather over the batch and
+        the duplicate-line fraction a dictionary encode of the batch's lines.
+        Only ``_FALLBACK_CLASS`` rows (and every row when a fastText model or
+        a word LM is loaded) become Python strings. Equivalence with the
+        per-row reference scorer is pinned by
+        tests/test_langquality_vectorized.py."""
         import numpy as np
         import pyarrow.compute as pc
 
         from safe_zone_ray.quality import _SYMBOL_RE_PATTERN
 
+        # one chunk: dictionary codes and take indices are then batch-wide
         text_arr = pc.fill_null(batch.column("text_extracted"), "")
+        if isinstance(text_arr, pa.ChunkedArray):
+            text_arr = text_arr.combine_chunks()
         lower_arr = pc.utf8_lower(text_arr)
         n = batch.num_rows
 
-        n_chars = pc.utf8_length(text_arr).to_numpy(zero_copy_only=False).astype(np.float64)
-
-        # Tokenise ONCE with one split kernel; everything token-derived
-        # (word count, word chars, per-language stopword membership) comes
-        # from hash joins + segment sums over the flattened token array —
-        # no per-language regex scan of the text. The split class is the
-        # UNICODE complement [^\p{L}\p{N}_]+, which matches Python's \w+
-        # tokenisation exactly for letters/digits/marks (verified by the
-        # torture cases in tests/test_langquality_vectorized.py), so
-        # diacritic text stays on the vectorized path.
-        toks = pc.split_pattern_regex(lower_arr, r"[^\p{L}\p{N}_]+")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
+        # Tokenise ONCE; everything token-derived (word count, word chars,
+        # per-language stopword membership) comes from hash joins + segment
+        # sums over the flattened token array — no per-language regex scan
+        # of the text.
+        flat, parent = tokenize(lower_arr)
         flat_len = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-        nonempty = flat_len > 0
-        p_valid = parent[nonempty]
-        n_words_a = np.bincount(p_valid, minlength=n).astype(np.int64)
-        word_chars = np.bincount(p_valid, weights=flat_len[nonempty], minlength=n)
+        n_words_a = np.bincount(parent, minlength=n).astype(np.int64)
+        word_chars = np.bincount(parent, weights=flat_len, minlength=n)
         sym_hits = pc.count_substring_regex(text_arr, _SYMBOL_RE_PATTERN).to_numpy(
             zero_copy_only=False
         )
@@ -143,26 +139,28 @@ class LangQualityStage:
         scores = hits / denom[None, :]
         en_idx = self._langs.index("en")
         stop_frac_a = np.where(n_words_a > 0, hits[en_idx] / denom, 0.0)
-        # Diacritic bonus, vectorized: one count kernel per language class,
-        # applied only to rows the reference scorer treats as non-ASCII
-        # (any codepoint >= U+00C0 — the Spanish class contains ¿/¡ which are
-        # BELOW that bound, so the gate matters). ASCII rows get bonus 0
-        # either way; langid scores get the bonus, stopword_fraction doesn't.
-        non_ascii = pc.match_substring_regex(
-            text_arr, "[À-\U0010FFFF]"
-        ).to_numpy(zero_copy_only=False)
-        if non_ascii.any():
+        # Diacritic bonus, vectorized: one count kernel per language class
+        # over the rows the reference scorer treats as non-ASCII (any
+        # codepoint >= U+00C0 — the Spanish class contains ¿/¡ which are
+        # BELOW that bound, so the gate matters). Other rows get bonus 0;
+        # langid scores get the bonus, stopword_fraction doesn't.
+        non_ascii = np.flatnonzero(
+            pc.match_substring_regex(text_arr, "[À-\U0010FFFF]").to_numpy(
+                zero_copy_only=False
+            )
+        )
+        if len(non_ascii):
             from safe_zone_ray.langid import _DIACRITICS
 
+            lower_na = lower_arr.take(non_ascii)
             for li, lang in enumerate(self._langs):
                 dia = _DIACRITICS.get(lang)
                 if not dia:
                     continue
-                cnt = pc.count_substring_regex(lower_arr, f"[{dia}]").to_numpy(
+                cnt = pc.count_substring_regex(lower_na, f"[{dia}]").to_numpy(
                     zero_copy_only=False
                 )
-                bonus = np.minimum(0.2, 0.02 * cnt)
-                scores[li] = scores[li] + np.where(non_ascii, bonus, 0.0)
+                scores[li, non_ascii] += np.minimum(0.2, 0.02 * cnt)
         best = scores.argmax(axis=0)
         best_score = scores[best, np.arange(n)]
 
@@ -174,16 +172,8 @@ class LangQualityStage:
         langs_out[und] = "und"
         score_out[und] = 0.0
 
-        # batch perplexity (one gather over the concatenated buffer) +
-        # per-row duplicate-line fraction (cheap line hashing)
-        texts = text_arr.to_pylist()
-        lowers = lower_arr.to_pylist()
         ppls = self.scorer.lm.perplexity_batch(lower_arr)
-        dup_frac_a = np.zeros(n, dtype=np.float64)
-        for i, text in enumerate(texts):
-            lines = [ln for ln in text.split("\n") if ln.strip()]
-            if lines:
-                dup_frac_a[i] = 1.0 - len(set(lines)) / len(lines)
+        dup_frac_a = _dup_line_fraction(text_arr)
 
         # Narrow per-row fallback: the unicode split class above makes the
         # vectorized path exact for all Latin/diacritic text, so only two
@@ -193,15 +183,21 @@ class LangQualityStage:
         # (\v, \x1c-\x1f, NEL, NBSP, ogham/general-punct spaces, LS/PS,
         # NNBSP, MMSP, ideographic space), which would skew the perplexity
         # normalisation. Both are ~absent from real web-extracted text.
-        ascii_mask = pc.invert(
-            pc.match_substring_regex(text_arr, _FALLBACK_CLASS)
-        ).to_numpy(zero_copy_only=False)
-        if not ascii_mask.all():
+        fallback = np.flatnonzero(
+            pc.match_substring_regex(text_arr, _FALLBACK_CLASS).to_numpy(
+                zero_copy_only=False
+            )
+        )
+        if len(fallback):
             from safe_zone_ray.langid import detect_language
 
-            for i in np.nonzero(~ascii_mask)[0]:
-                text = texts[i]
-                m = self.scorer.metrics(text, lower=lowers[i])
+            rows = zip(
+                fallback,
+                text_arr.take(fallback).to_pylist(),
+                lower_arr.take(fallback).to_pylist(),
+            )
+            for i, text, lower in rows:
+                m = self.scorer.metrics(text, lower=lower)
                 lang, score = detect_language(text, tokens=m.tokens)
                 langs_out[i] = lang
                 score_out[i] = score
@@ -216,7 +212,7 @@ class LangQualityStage:
         # comes from it (probability as the score); all counting/perplexity
         # metrics above are model-independent and stand unchanged.
         if self.ft_model is not None:
-            for i, text in enumerate(texts):
+            for i, text in enumerate(text_arr.to_pylist()):
                 pred = self.ft_model.predict(text.replace("\n", " "), k=1)
                 if pred:
                     langs_out[i], score_out[i] = pred[0][0], pred[0][1]
@@ -248,7 +244,7 @@ class LangQualityStage:
         # independent per-rule bitmask (bit k = conditions[k]) for the
         # ablation report — computed HERE on the float64 arrays so borderline
         # values can never diverge from the drop_reason chain above
-        quality_flags = np.zeros(len(texts), dtype=np.int32)
+        quality_flags = np.zeros(n, dtype=np.int32)
         for _k, _cond in enumerate(conditions):
             quality_flags |= _cond.astype(np.int32) << _k
 
@@ -284,9 +280,51 @@ class LangQualityStage:
             .append_column("quality_flags", pa.array(quality_flags, pa.int32()))
         )
         if self.word_lm is not None:
-            wppl = [self.word_lm.perplexity(t) for t in texts]
+            wppl = [self.word_lm.perplexity(t) for t in text_arr.to_pylist()]
             out = out.append_column("word_perplexity", pa.array(wppl, pa.float32()))
         return out
+
+
+def tokenize(lower_arr: pa.Array):
+    """The ``\\w+`` tokens of every row, flattened, and each token's row.
+
+    Tokens are the runs of the UNICODE class ``[\\p{L}\\p{N}_]``, which
+    matches Python's ``\\w+`` exactly for letters/digits/marks (the torture
+    cases in tests/test_langquality_vectorized.py), so diacritic text stays
+    on the vectorized path. Splitting on the complement directly costs one
+    RE2 match per space; instead only the runs of characters that are
+    neither word characters nor RE2 whitespace become a space, and
+    ``utf8_split_whitespace`` splits the rest. Returns the non-empty tokens
+    (an Arrow string array) and their row indices (numpy int)."""
+    import pyarrow.compute as pc
+
+    toks = pc.utf8_split_whitespace(
+        pc.replace_substring_regex(lower_arr, r"[^\p{L}\p{N}_\s]+", " ")
+    )
+    flat = pc.list_flatten(toks)
+    keep = pc.not_equal(flat, "")
+    parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
+    return flat.filter(keep), parent[keep.to_numpy(zero_copy_only=False)]
+
+
+def _dup_line_fraction(text_arr: pa.Array):
+    """Per row, 1 - distinct / total over the lines that are not blank, as
+    ``QualityScorer.metrics`` computes it: split on "\\n", drop the lines
+    ``utf8_trim_whitespace`` empties (Python's ``str.strip`` whitespace),
+    dictionary-encode the rest and count the distinct (row, code) pairs."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    n = len(text_arr)
+    lines = pc.split_pattern(text_arr, "\n")
+    flat = pc.list_flatten(lines)
+    keep = pc.not_equal(pc.utf8_trim_whitespace(flat), "")
+    row = pc.list_parent_indices(lines).to_numpy(zero_copy_only=False)
+    row = row[keep.to_numpy(zero_copy_only=False)].astype(np.int64)
+    code = pc.dictionary_encode(flat.filter(keep)).indices.to_numpy(zero_copy_only=False)
+    total = np.bincount(row, minlength=n)
+    distinct = np.bincount(np.unique((row << 32) | code) >> 32, minlength=n)
+    return np.where(total > 0, 1.0 - distinct / np.maximum(total, 1), 0.0)
 
 
 _CACHED_STAGE: LangQualityStage | None = None

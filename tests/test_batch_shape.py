@@ -71,3 +71,22 @@ def test_sliced_batches_match_whole_block(inputs, kernel, size):
     assert parts.schema == whole.schema
     for name in whole.column_names:
         assert parts.column(name).to_pylist() == whole.column(name).to_pylist(), (kernel, name)
+
+
+@pytest.mark.parametrize("kernel", ["langquality", "detect"])
+def test_three_chunk_text_matches_combined(inputs, kernel):
+    """A ``text_extracted`` column in 3 chunks gives the same output as the
+    same rows in one chunk (dictionary codes and take indices are per chunk
+    unless the kernel combines them first)."""
+    block = inputs[kernel]
+    idx = block.schema.get_field_index("text_extracted")
+    text = block.column(idx).combine_chunks()
+    cuts = [0, 100, 517, block.num_rows]
+    chunked = pa.chunked_array([text.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
+    assert chunked.num_chunks == 3
+    fn = STAGE[kernel]
+    got = fn(block.set_column(idx, "text_extracted", chunked))
+    want = fn(block.set_column(idx, "text_extracted", text))
+    assert got.schema == want.schema
+    for name in want.column_names:
+        assert got.column(name).combine_chunks().equals(want.column(name).combine_chunks()), name

@@ -144,3 +144,124 @@ def test_batch_scorer_hypothesis_fuzz():
             assert out.column("quality_drop_reason")[i].as_py() == scorer.quality_drop_reason(m), repr(text)
 
     run()
+
+
+# Whitespace torture rows for the perplexity normalisation.
+WS_ROWS = [
+    "a \t\n\f\r  b\t \tc\r\n\nd  e\n",  # mixed \t\n\f\r and space runs
+    "one\rtwo three",  # a lone \r
+    "one\ftwo three",  # a lone \f
+    " \t\n leading and trailing runs \r\n ",
+    " \t\n\f\r  ",  # only whitespace
+    "",
+    "x" * 1998 + " \t\n  tail",  # the 2000-codepoint slice ends inside a run
+    "y" * 1999 + "é  after",  # the slice ends right after a 2-byte character
+]
+
+
+def _reference_normalise(lower):
+    """The normalisation as it was first written: one replacement per
+    whitespace run."""
+    import pyarrow.compute as pc
+
+    s = pc.utf8_slice_codeunits(lower, 0, 2000)
+    return pc.utf8_trim_whitespace(pc.replace_substring_regex(s, r"\s+", " "))
+
+
+def test_perplexity_whitespace_collapse_is_exact():
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    lm = QualityScorer().lm
+    lower = pc.utf8_lower(pa.array(WS_ROWS, pa.string()))
+    got, ref = lm.normalise_batch(lower), _reference_normalise(lower)
+    assert pc.cast(got, pa.binary()).to_pylist() == pc.cast(ref, pa.binary()).to_pylist()
+    assert WS_ROWS[6][1999:2001] == "\t\n"  # the slice does cut the run
+    assert len(WS_ROWS[7][:2000].encode()) == 2001  # ... and keeps all of é
+    batch = lm.perplexity_batch(lower)
+    assert batch.dtype == np.float64
+    assert (batch == lm.score_normalised(ref)).all()
+
+
+def test_perplexity_whitespace_collapse_on_a_block(sf_dir):
+    import glob
+    import os
+
+    import pyarrow.compute as pc
+
+    from safe_zone_ray.pages import synthesize_pages_dir
+
+    (f,) = glob.glob(os.path.join(synthesize_pages_dir(sf_dir), "*.parquet"))
+    text = extract_batch(pq.read_table(f)).column("text_extracted").combine_chunks()
+    lower = pc.utf8_lower(pc.fill_null(text, ""))
+    lm = QualityScorer().lm
+    assert lm.normalise_batch(lower).equals(_reference_normalise(lower))
+    assert (lm.perplexity_batch(lower) == lm.score_normalised(_reference_normalise(lower))).all()
+
+
+TOKEN_ROWS = [
+    "nbsp\xa0between\xa0words and\x0bvertical\x0btabs",
+    "don't rock_n_roll _lead trail_ o'clock ''",
+    "abc123 4567def x9y 12.5 1,000",
+    "café naïve été ́lone",  # combining marks
+    "漢字が多い文章です。這是中文，한국어 텍스트",
+    "?!... --- ((*)) ¿¡ «» …",  # punctuation only
+    "",
+    "  \t\n ",
+]
+
+
+def _reference_tokens(lower):
+    import pyarrow.compute as pc
+
+    toks = pc.split_pattern_regex(lower, r"[^\p{L}\p{N}_]+")
+    flat = pc.list_flatten(toks)
+    keep = pc.not_equal(flat, "")
+    parent = pc.list_parent_indices(toks).filter(keep)
+    return flat.filter(keep).to_pylist(), parent.to_pylist()
+
+
+def test_tokenizer_matches_split_on_word_complement(sf_dir):
+    import glob
+    import os
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from safe_zone_ray.pages import synthesize_pages_dir
+    from safe_zone_ray.stages.langquality import tokenize
+
+    (f,) = glob.glob(os.path.join(synthesize_pages_dir(sf_dir), "*.parquet"))
+    block = extract_batch(pq.read_table(f)).column("text_extracted").combine_chunks()
+    for rows in (pa.array(TOKEN_ROWS, pa.string()), pc.fill_null(block, "")):
+        lower = pc.utf8_lower(rows)
+        flat, parent = tokenize(lower)
+        ref_flat, ref_parent = _reference_tokens(lower)
+        assert flat.to_pylist() == ref_flat
+        assert parent.tolist() == ref_parent
+        assert len(ref_flat) > 0
+
+
+def test_dup_line_fraction_matches_row_scorer():
+    """Blank and whitespace-only lines are dropped, lines that differ only in
+    surrounding whitespace are distinct, as in ``QualityScorer.metrics``."""
+    import pyarrow as pa
+
+    from safe_zone_ray.stages.langquality import _dup_line_fraction
+
+    rows = [
+        "a\nb\na\n\n  \nb",
+        "same\nsame\nsame",
+        "x \nx\n x\nx",
+        "\r\nline\r\nline\r\n",
+        "uno\fdos\nuno\fdos\n\t\n",
+        "",
+        "\n\n",
+        "   ",
+        "one line only",
+    ]
+    scorer = QualityScorer()
+    got = _dup_line_fraction(pa.array(rows, pa.string()))
+    assert got.tolist() == [scorer.metrics(t).dup_line_fraction for t in rows]
+    assert got.max() > 0.5

@@ -89,6 +89,7 @@ def test_detect_lookahead_pack_takes_per_row_re(block, tmp_path):
     batch = extract_batch(block.slice(0, 300))
     texts = batch.column("text_extracted").to_pylist()
     texts[0] = "see ORD-1234 and ORD-99999"
+    texts[1] = None  # a clean row on this path: scrubbed to "", as detect_one("")
     batch = batch.set_column(
         batch.schema.get_field_index("text_extracted"), "text_extracted", pa.array(texts)
     )
