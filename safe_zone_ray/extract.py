@@ -61,45 +61,65 @@ def extract_text(html_bytes: bytes | str) -> str:
 # RE2 has no backreferences, so the drop-elements regex expands into one
 # alternation branch per tag (equivalent — each branch pins the same
 # open/close tag the backreference would; the construction is shared with the
-# DuckDB oracle, oracle/decisions_sql._extract_expr). Two Python-semantics
-# steps cannot be expressed in RE2 and route through a per-row fallback:
-# HTML entity unescaping (rows containing '&') and str.strip()'s unicode
-# whitespace set (rows containing whitespace outside RE2's \s — see
-# _VEC_FALLBACK_CLASS). Byte-identity with extract_text is pinned by
-# tests/test_extract.py::test_vectorized_matches_row_extractor.
+# DuckDB oracle, oracle/decisions_sql._extract_expr). The rows split in two:
+# the Arrow chain is exact wherever the character after a tag name is ASCII
+# and the steps below are expressible in RE2; every other row reruns the
+# frozen extractor. Those are the rows with HTML entities ('&'), with
+# whitespace where str.strip() and RE2's \s differ (_VEC_FALLBACK_CLASS), and
+# with a tag name followed by a non-ASCII character or spelled with ı/İ
+# (_TAG_NAME_NON_ASCII). Byte-identity with extract_text is pinned by
+# tests/test_extract.py::test_vectorized_matches_row_extractor and
+# tests/test_extract_vectorized.py.
 
 # Python's \b after a tag name is unicode-aware (no boundary before é);
-# RE2's is ASCII-only, so a bare \b would over-match '<pé...'. The RE2-safe
-# equivalent of '<name\b[^>]*>' is '<name(?:>|[NOT-word-char][^>]*>)' with
-# the word class spelled out as unicode \p{L}\p{N}_ (found by hypothesis
-# fuzzing — tests/test_extract_vectorized.py).
+# RE2's is ASCII-only, so a bare \b would over-match '<pé...'. The exact RE2
+# spelling of '<name\b[^>]*>' is '<name(?:>|[NOT-word-char][^>]*>)' with the
+# word class spelled out as unicode \p{L}\p{N}_ (found by hypothesis fuzzing
+# — tests/test_extract_vectorized.py). The DuckDB oracle uses that spelling.
 _TAG_END = r"(?:>|[^>\p{L}\p{N}_][^>]*>)"
+# The vectorized chain splits the rows instead. Its tag end treats every
+# non-ASCII character as a word character, so RE2 compiles an ASCII class
+# instead of the unicode tables on every call (pyarrow does not cache
+# compiled regexes) and scans bytes instead of code points. It agrees with
+# Python wherever the character after a tag name is ASCII; the rows where it
+# is not are found by _TAG_NAME_NON_ASCII and rerun per row.
+_TAG_END_ASCII = r"(?:>|[^>0-9A-Za-z_\x80-\x{10FFFF}][^>]*>)"
 # Python \s is unicode (includes \v, FS-US, NEL, NBSP, the general-punct
 # spaces); RE2 \s is ASCII-only — spell the set out for the closer tag.
 _PY_WS = (
     r"[ \t\n\r\f\v\x1c-\x1f\x85\xa0"
     r"\x{1680}\x{2000}-\x{200a}\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}]"
 )
+_DROP_TAGS = ("script", "style", "noscript", "template")
+_BLOCK_TAGS = (
+    r"p|div|br|li|ul|ol|tr|td|th|table|h[1-6]|title|head|body|html|nav|header|"
+    r"footer|section|article|aside|main|blockquote|pre|form|hr|figure|figcaption|dl|dt|dd"
+)
 _DROP_ALTERNATION = "|".join(
-    rf"<{t}{_TAG_END}.*?</{t}{_PY_WS}*>"
-    for t in ("script", "style", "noscript", "template")
+    rf"<{t}{_TAG_END_ASCII}.*?</{t}{_PY_WS}*>" for t in _DROP_TAGS
 )
-_BLOCK_TAG_SQLSAFE = (
-    r"(?i)</?(?:p|div|br|li|ul|ol|tr|td|th|table|h[1-6]|title|head|body|html|nav|header|"
-    r"footer|section|article|aside|main|blockquote|pre|form|hr|figure|figcaption|dl|dt|dd)"
-    + _TAG_END
-)
+_BLOCK_TAG_SQLSAFE = rf"(?i)</?(?:{_BLOCK_TAGS}){_TAG_END_ASCII}"
 # '&' (entities) plus whitespace chars where Python str.strip()/\s and RE2
 # diverge (\v is IN the frozen HSPACE class so it's fine; these are not)
 _VEC_FALLBACK_CLASS = (
     "[&\x1c-\x1f\x85\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]"
 )
+# Rows where a tag name is directly followed by a non-ASCII character (the
+# ASCII tag end above declines them), or where a tag name holds a dotless or
+# dotted I: Python's IGNORECASE matches 'ı' and 'İ' against 'i', RE2's does
+# not. The earlier passes only insert spaces, so testing the raw html finds
+# every such tag.
+_TAG_NAME_NON_ASCII = (
+    rf"(?i:<(?:/?(?:{_BLOCK_TAGS})|{'|'.join(_DROP_TAGS)}))[^\x00-\x7f]"
+    r"|</?[0-9A-Za-z\x{130}\x{131}]*[\x{130}\x{131}]"
+)
+_NEEDS_ROW = f"{_VEC_FALLBACK_CLASS}|{_TAG_NAME_NON_ASCII}"
 
 
 def extract_text_column(html_col):
     """Arrow string array of raw html → extracted text array (frozen spec),
-    vectorized; rows matching ``_VEC_FALLBACK_CLASS`` rerun ``extract_text``
-    per row for exact parity."""
+    vectorized; rows matching ``_VEC_FALLBACK_CLASS`` or
+    ``_TAG_NAME_NON_ASCII`` rerun ``extract_text`` per row for exact parity."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -110,18 +130,17 @@ def extract_text_column(html_col):
     s = pc.replace_substring_regex(s, r"<[^>]+>", "")
     # (entity unescape is identity for rows without '&' — fallback otherwise)
     s = pc.replace_substring_regex(s, "[​‌‍﻿]", "")
-    s = pc.replace_substring_regex(s, "[ \t\r\x0c\x0b\xa0]+", " ")
+    # a lone space is already collapsed: replace only runs and other spaces
+    s = pc.replace_substring_regex(s, "[ \t\r\x0c\x0b\xa0]{2,}|[\t\r\x0c\x0b\xa0]", " ")
     s = pc.replace_substring_regex(s, " ?\n ?", "\n")
     s = pc.replace_substring_regex(s, "\n+", "\n")
     s = pc.utf8_trim(s, " \n")
 
-    needs_row = pc.match_substring_regex(html_col, _VEC_FALLBACK_CLASS).to_numpy(
-        zero_copy_only=False
-    )
-    if needs_row.any():
-        out = s.to_pylist()
-        raws = html_col.to_pylist()
-        for i in np.nonzero(needs_row)[0]:
-            out[i] = extract_text(raws[i])
-        return pa.array(out, pa.string())
+    # only the rows that need it leave Arrow; their results are scattered in
+    needs_row = pc.fill_null(pc.match_substring_regex(html_col, _NEEDS_ROW), False)
+    rows = np.flatnonzero(needs_row.to_numpy(zero_copy_only=False))
+    if len(rows):
+        raws = html_col.take(rows).to_numpy(zero_copy_only=False).tolist()
+        fixed = pa.array([extract_text(h) for h in raws], pa.string())
+        return pc.replace_with_mask(s, needs_row, fixed)
     return s

@@ -13,6 +13,8 @@ flag is legal in Python when first; for the fused any-hit prefilter each
 branch is wrapped so flags stay scoped. REGEX *validators* are compiled with
 a trailing ``$`` translated to ``\\Z`` because Go's ``$`` (no multiline)
 anchors at end-of-text while Python's also matches before a final newline.
+The batch detect kernel runs patterns in pyarrow's RE2, spelled from
+Python's parse tree by ``re2_spelling``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+try:  # the parser re compiles with: re._parser from Python 3.11
+    from re import _constants as _sre
+    from re import _parser as _sre_parse
+except ImportError:
+    import sre_constants as _sre
+    import sre_parse as _sre_parse
 
 from safe_zone_ray.core.aho import AhoCorasick
 
@@ -164,6 +173,169 @@ def _go_anchor_fix(rule: str) -> str:
     return rule
 
 
+# ---------------------------------------------------------------------------
+# Python ``re`` → RE2, spelled from Python's own parse tree, so the RE2 text
+# never depends on how the two parsers read the source (``{,n}``, ``[[:x:]]``,
+# flag groups). The batch kernel sorts rows into three classes, and each
+# class gets a spelling that is exact or a superset of Python on it:
+#
+# - ASCII rows, with every character in [\t\n\f\r\x20-\x7e] (no
+#   NON_ASCII_TEXT). There RE2 and Python agree on \b \d \s \w and (?i).
+#   Mode "exact" gives the same spans as ``finditer``. It refuses anchors
+#   (Python's $ also matches before a final newline), lookarounds,
+#   backreferences, non-ASCII letters under (?i), and patterns or repeated
+#   groups that can match the empty string (the engines step past empty
+#   matches and end loops on empty iterations differently). Mode "ascii" is
+#   the prefilter: "exact" with anchors dropped and empty matches allowed.
+# - Other rows without EXOTIC_TEXT. There Python's \d and \s are RE2's. Mode
+#   "wide" drops \b and \B, lets \w also take any non-ASCII character, and
+#   lets an (?i) i or I also take ı and İ, which Python folds to i and RE2
+#   does not. A negated class keeps RE2's ASCII \w: its complement is
+#   already wider than Python's.
+# - EXOTIC_TEXT rows: a non-ASCII decimal digit, or whitespace that Python's
+#   \s has and RE2's lacks. Rare; they take the per-row ``re`` any-hit test.
+#
+# tests/test_regex_dialects.py pins each fact about the two engines over
+# every code point.
+NON_ASCII_TEXT = r"[^\t\n\f\r\x20-\x7e]"
+EXOTIC_TEXT = (
+    r"[\v\x1c-\x1f\x85\xa0\x{1680}\x{2000}-\x{200a}\x{2028}\x{2029}\x{202f}"
+    r"\x{205f}\x{3000}]|[^\P{Nd}0-9]"
+)
+_RE2_MAX_REPEAT = 1000
+
+
+class _NoRE2(Exception):
+    """The construct has no RE2 spelling in the requested mode."""
+
+
+def _re2_char(c: int) -> str:
+    ch = chr(c)
+    return ch if ch.isascii() and ch.isalnum() else f"\\x{{{c:x}}}"
+
+
+_RE2_CATEGORY = {
+    _sre.CATEGORY_DIGIT: r"\d",
+    _sre.CATEGORY_NOT_DIGIT: r"\D",
+    _sre.CATEGORY_SPACE: r"\s",
+    _sre.CATEGORY_NOT_SPACE: r"\S",
+    _sre.CATEGORY_WORD: r"\w",
+    _sre.CATEGORY_NOT_WORD: r"\W",
+}
+
+
+def _re2_class(items, ignorecase: bool, mode: str) -> str:
+    negated = items[0][0] is _sre.NEGATE
+    wide = mode == "wide"
+    body, has_i = [], False
+    for op, av in items[negated:]:
+        if op is _sre.LITERAL:
+            lo = hi = av
+        elif op is _sre.RANGE:
+            lo, hi = av
+        elif op is _sre.CATEGORY and av is _sre.CATEGORY_WORD and wide and not negated:
+            body.append(r"\w\x80-\x{10ffff}")
+            continue
+        elif op is _sre.CATEGORY and av in _RE2_CATEGORY and not (
+            av is _sre.CATEGORY_NOT_WORD and wide and negated
+        ):
+            body.append(_RE2_CATEGORY[av])
+            continue
+        else:
+            raise _NoRE2(op)
+        if ignorecase and hi > 0x7F:
+            raise _NoRE2("non-ASCII letter under (?i)")
+        body.append(_re2_char(lo) if lo == hi else f"{_re2_char(lo)}-{_re2_char(hi)}")
+        has_i = has_i or lo <= 0x49 <= hi or lo <= 0x69 <= hi
+    if wide and ignorecase and has_i and not negated:
+        body.append(r"\x{130}\x{131}")
+    out = f"[{'^' if negated else ''}{''.join(body)}]"
+    return f"(?i:{out})" if ignorecase else out
+
+
+def _re2_repeat(lo: int, hi, lazy: bool) -> str:
+    if lo > _RE2_MAX_REPEAT or (hi is not _sre.MAXREPEAT and hi > _RE2_MAX_REPEAT):
+        raise _NoRE2("repeat count above RE2's limit")
+    if hi is _sre.MAXREPEAT:
+        q = {0: "*", 1: "+"}.get(lo, f"{{{lo},}}")
+    else:
+        q = "?" if (lo, hi) == (0, 1) else f"{{{lo}}}" if lo == hi else f"{{{lo},{hi}}}"
+    return q + ("?" if lazy else "")
+
+
+def _re2_emit(items, flags: int, mode: str) -> str:
+    ignorecase = bool(flags & _sre.SRE_FLAG_IGNORECASE)
+    out = []
+    for op, av in items:
+        if op is _sre.LITERAL or op is _sre.NOT_LITERAL:
+            if ignorecase and av > 0x7F:
+                raise _NoRE2("non-ASCII character under (?i)")
+            atom = _re2_char(av) if op is _sre.LITERAL else f"[^{_re2_char(av)}]"
+            if ignorecase and chr(av).isalpha():
+                wide_i = op is _sre.LITERAL and mode == "wide" and av in (0x49, 0x69)
+                atom = r"[Ii\x{130}\x{131}]" if wide_i else f"(?i:{atom})"
+            out.append(atom)
+        elif op is _sre.IN:
+            out.append(_re2_class(av, ignorecase, mode))
+        elif op is _sre.ANY:
+            out.append("(?s:.)" if flags & _sre.SRE_FLAG_DOTALL else ".")
+        elif op is _sre.BRANCH:
+            out.append("(?:" + "|".join(_re2_emit(alt, flags, mode) for alt in av[1]) + ")")
+        elif op is _sre.SUBPATTERN:
+            _group, add, drop, sub = av
+            out.append(f"(?:{_re2_emit(sub, (flags | add) & ~drop, mode)})")
+        elif op is _sre.MAX_REPEAT or op is _sre.MIN_REPEAT:
+            lo, hi, sub = av
+            if mode == "exact" and hi != 1 and sub.getwidth()[0] == 0:
+                # the engines end a loop on an empty iteration differently
+                raise _NoRE2("repeated group that can match the empty string")
+            rep = _re2_repeat(lo, hi, op is _sre.MIN_REPEAT)
+            out.append(f"(?:{_re2_emit(sub, flags, mode)}){rep}")
+        elif op is _sre.AT and av in (_sre.AT_BOUNDARY, _sre.AT_NON_BOUNDARY):
+            if mode != "wide":
+                out.append(r"\b" if av is _sre.AT_BOUNDARY else r"\B")
+        elif op is _sre.AT and mode != "exact":
+            continue  # dropping an anchor only widens the match set
+        else:
+            raise _NoRE2(op)
+    return "".join(out)
+
+
+def re2_spelling(regex: str, mode: str) -> str | None:
+    """RE2 spelling of Python pattern ``regex`` in ``mode`` ("exact",
+    "ascii" or "wide", see above), or None when it has none or RE2 rejects
+    it."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    try:
+        tree = _sre_parse.parse(regex)
+        if mode == "exact" and tree.getwidth()[0] == 0:
+            return None
+        spelled = _re2_emit(tree, tree.state.flags, mode)
+        pc.match_substring_regex(pa.array([""], pa.string()), spelled)
+    except (re.error, _NoRE2, pa.ArrowInvalid):
+        return None
+    return spelled
+
+
+@dataclass(frozen=True)
+class Prefilter:
+    """RE2 superset prefilter for one row class: the fused any-hit regex
+    (patterns and blocklist words) and one regex per active pattern."""
+
+    any_hit: str
+    scoped: tuple[tuple[str, str], ...]
+
+
+def _prefilter(patterns: list[Pattern], words: list[str], mode: str) -> Prefilter | None:
+    scoped = tuple((p.name, re2_spelling(p.regex, mode)) for p in patterns)
+    branches = [s for _, s in scoped] + [re2_spelling(re.escape(w), mode) for w in words]
+    if not branches or None in branches:
+        return None
+    return Prefilter("|".join(branches), scoped)
+
+
 class CompiledRegistry:
     """Registry with all expensive artifacts prebuilt: per-pattern compiled
     regexes (registry order preserved — candidate insertion order is a sort
@@ -192,11 +364,6 @@ class CompiledRegistry:
         branches = [_scope_flags(p.regex) for p, _ in self.active_patterns]
         branches += [re.escape(w) for w in registry.blocklist if w]
         self.any_hit = re.compile("|".join(branches)) if branches else None
-        # Per-pattern scoped regex strings for the vectorized (RE2) batch
-        # prefilter in stages/detect.py.
-        self.scoped_patterns = [
-            (p.name, _scope_flags(p.regex)) for p, _ in self.active_patterns
-        ]
 
         self.validator_map = registry.validator_by_name()
         self.validator_regex: dict[str, re.Pattern] = {}
@@ -210,6 +377,40 @@ class CompiledRegistry:
         self.toxicity = AhoCorasick(w.lower() for w in registry.toxicity_keywords)
         self.allowlist = registry.allowlist
         self.blocklist = registry.blocklist
+
+
+    # RE2 forms for the batch kernel (stages/detect.py), built on first use
+    # so the per-request server never pays for them: a superset prefilter per
+    # row class (None: that class takes the per-row ``re`` any-hit test), and
+    # per active pattern its exact spans on ASCII rows (None: its rows run
+    # ``detect_one``).
+    @cached_property
+    def ascii_prefilter(self) -> Prefilter | None:
+        return _prefilter(self._active, self._words, "ascii")
+
+    @cached_property
+    def wide_prefilter(self) -> Prefilter | None:
+        return _prefilter(self._active, self._words, "wide")
+
+    @cached_property
+    def exact_spans(self) -> list[str | None]:
+        return [re2_spelling(p.regex, "exact") for p in self._active]
+
+    @cached_property
+    def words_re2(self) -> str:
+        """Any blocklist word, as one RE2 regex (one that never matches when
+        there is no word). Used only when ``ascii_prefilter``, which spells
+        the same words, exists."""
+        spelled = [re2_spelling(re.escape(w), "ascii") for w in self._words]
+        return "|".join(spelled) or r"[^\x00-\x{10ffff}]"
+
+    @property
+    def _active(self) -> list[Pattern]:
+        return [p for p, _ in self.active_patterns]
+
+    @property
+    def _words(self) -> list[str]:
+        return [w for w in self.blocklist if w]
 
 
 @lru_cache(maxsize=8)

@@ -6,7 +6,10 @@ Reads one page file whole, as the flagship read does (one block per file; for
 a directory, its first ``*.parquet`` file in name order), chains
 extract -> langquality -> detect -> decide once to warm every cache, then
 times each kernel on its own chained input. Prints one JSON line: per kernel
-the median of 9 calls in µs per row, plus the block's row count.
+the median of 9 calls in µs per row, plus the block's row count, and under
+``per_call_us`` each kernel's fixed cost per call: the median of 9 calls on a
+1-row slice of its input, in µs. pyarrow compiles a regex on every kernel
+call, so that cost shows there.
 """
 
 from __future__ import annotations
@@ -46,16 +49,23 @@ def main(path: str) -> dict:
         "decide": lambda b: decide_batch(b, allowed_langs=cfg.allowed_langs),
     }
     block = pq.read_table(path)
-    out = {"rows": block.num_rows}
+    out = {"rows": block.num_rows, "per_call_us": {}}
     for name, fn in kernels.items():
-        times = []
-        for _ in range(CALLS + 1):  # the first call warms, untimed
-            t0 = time.perf_counter()
-            result = fn(block)
-            times.append(time.perf_counter() - t0)
-        out[name] = round(statistics.median(times[1:]) * 1e6 / max(block.num_rows, 1), 2)
+        seconds, result = _median_call(fn, block)
+        out[name] = round(seconds * 1e6 / max(block.num_rows, 1), 2)
+        out["per_call_us"][name] = round(_median_call(fn, block.slice(0, 1))[0] * 1e6, 1)
         block = result
     return out
+
+
+def _median_call(fn, block):
+    """(median seconds of CALLS calls after one untimed warm-up, last result)."""
+    times = []
+    for _ in range(CALLS + 1):
+        t0 = time.perf_counter()
+        result = fn(block)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times[1:]), result
 
 
 if __name__ == "__main__":

@@ -53,6 +53,30 @@ def test_vectorized_torture_cases():
     )
 
 
+def test_vectorized_non_ascii_after_tag_name():
+    """The Arrow chain's ASCII tag end declines a non-ASCII character after a
+    tag name; those rows, and tag names spelled with a dotless or dotted I
+    (Python's IGNORECASE folds both to i), take the per-row extractor."""
+    _check(
+        [
+            "a<p\xa0class=x>b</p>c",
+            "a<br\u3000>b",
+            "a<pé>b</pé>c",  # é is a word character: no tag match in either
+            "a<p—x>b",
+            "a<DIV\xa0id=1>b</DIV>c",
+            "a</P\xa0>b",
+            "<SCRIPT\xa0type=x>var y;</script>after",
+            "<style—>p{}</style >kept",
+            "<scriptx>not dropped</script>",
+            "a<lı>b</lı>c",
+            "a<Lİ>b",
+            "<scrİpt>x</script>y",
+            "<P>upper</P><BR/>case<H1>tags</H1>",
+            "plain ascii <p class=x>row</p>",
+        ]
+    )
+
+
 def test_vectorized_unicode_ws_fallback_exact():
     html = "<p>a b</p><p>c d</p>"
     col = pa.array([html], pa.string())
@@ -66,12 +90,15 @@ def test_vectorized_hypothesis_fuzz():
     from hypothesis import strategies as st
 
     frag = st.one_of(
-        st.text(alphabet="ab <>/&;#xamp;lt\n\t\r\x0b\xa0é漢 ​", max_size=12),
+        st.text(alphabet="ab <>/&;#xamp;lt\n\t\r\x0b\xa0é漢 ​—ıİ\u3000", max_size=12),
         st.sampled_from(
             [
                 "<p>", "</p>", "<div class='x'>", "<br/>", "<script>", "</script>",
                 "<style>s</style>", "<!--", "-->", "&amp;", "&lt;", "&#39;", "&bogus;",
                 "<template>", "</template>", "<noscript>", "</noscript>", "<b", ">",
+                # open tag names: the next fragment may put a non-ASCII
+                # character right after the name
+                "<p", "</P", "<SCRIPT", "</script", "<li", "<lı", "<BR", "<style",
             ]
         ),
     )

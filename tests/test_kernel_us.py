@@ -1,5 +1,6 @@
 """Smoke test of scripts/kernel_us.py on the sf0.001 pages: one JSON line
-with a positive µs/doc for each of the four stage kernels."""
+with a positive µs/doc and a positive fixed cost per call (1-row slice) for
+each of the four stage kernels."""
 
 import json
 import os
@@ -20,3 +21,5 @@ def test_kernel_us_prints_every_kernel(sf_dir):
     assert out["rows"] > 0
     for kernel in ("extract", "langquality", "detect", "decide"):
         assert out[kernel] > 0, kernel
+        assert out["per_call_us"][kernel] > 0, kernel
+    assert set(out["per_call_us"]) == {"extract", "langquality", "detect", "decide"}
