@@ -577,6 +577,14 @@ def chunk_knn_topk(
     excluded. Output (query_doc_id, doc_id, chunk_id, cos_sim) ordered by
     (query_doc_id, cos_sim DESC, doc_id, chunk_id) — fully deterministic.
 
+    Similarities are computed in float64 from the float32 embeddings (the
+    precision ``similarity.knn_bruteforce`` uses). A float32 product sums
+    in an order that depends on the batch's row count and on the BLAS
+    kernel, so a value near a 6-decimal boundary could round either way;
+    each float32×float32 product is exact in float64 and the float64 sum
+    error is far below the rounding step, so the rounded ``cos_sim`` — and
+    hence the top-k — no longer depends on batch size or BLAS kernel.
+
     Scale shape: identical to ``similarity.knn_bruteforce`` (broadcast
     small side, per-batch matmul, bounded partials); for standing chunk
     indexes at 10^9+ chunks, build the hive-partitioned ANN index over the
@@ -597,13 +605,14 @@ def chunk_knn_topk(
         filters=pads.field("doc_id").isin(qids),
     )
     order = {int(d): i for i, d in enumerate(qt.column("doc_id").to_pylist())}
-    Q = embed_batch(qt.column("text"))  # (n_queries, dim), L2-normalized
+    # (n_queries, dim), L2-normalized; widened once for the float64 product
+    Q = embed_batch(qt.column("text")).astype(np.float64)
     q_ref = ray.put((np.array(sorted(order, key=order.get), dtype=np.int64), Q))
 
     def partial(batch: pa.Table) -> pa.Table:
         q_doc_ids, Qm = ray.get(q_ref)
         M = embed_batch(batch.column("chunk_text"))  # (n_chunks, dim)
-        sims = M @ Qm.T  # chunk x query
+        sims = M.astype(np.float64) @ Qm.T  # chunk x query, float64
         doc = batch.column("doc_id").to_numpy(zero_copy_only=False)
         chunk = batch.column("chunk_id").to_numpy(zero_copy_only=False)
         out_q, out_d, out_c, out_s = [], [], [], []

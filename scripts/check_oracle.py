@@ -6,9 +6,11 @@ an order-insensitive value hash. Usage: python scripts/check_oracle.py [sf_dir]
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, not whatever copy is on the path
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 import pandas as pd

@@ -311,3 +311,46 @@ def test_chunk_knn_fragment_invariance(ray_session, sf_dir, tmp_path):
     a = chunk_knn_topk(sf_dir).to_pylist()
     b = chunk_knn_topk(str(wrapped)).to_pylist()
     assert a == b
+
+
+def test_chunk_knn_matches_exact_reference(ray_session, sf_dir, con):
+    """Row-for-row equality with an exact in-process reference: every chunk
+    embedded with ``embed_batch``, each similarity the correctly rounded
+    ``math.fsum`` of the float64-widened products (a float32×float32
+    product is exact in float64), rounded to 6 decimals, top-k per query by
+    (sim DESC, doc_id, chunk_id). A float32 product rounds values near a
+    6-decimal boundary either way depending on the batch's row count and
+    the BLAS kernel, and misses this reference."""
+    import math
+
+    from safe_zone_ray.functions.embed import embed_batch
+    from safe_zone_ray.functions.search import (
+        CHUNK_KNN_K,
+        CHUNK_KNN_QUERIES,
+        chunk_knn_topk,
+    )
+    from safe_zone_ray.functions.textstats import doc_chunks_oracle_sql
+
+    chunks = con.sql(doc_chunks_oracle_sql()).arrow()
+    docs = con.sql(
+        "SELECT doc_id, text FROM documents WHERE doc_id IN "
+        f"({', '.join(map(str, CHUNK_KNN_QUERIES))})"
+    ).arrow()
+    M = embed_batch(chunks.column("chunk_text")).astype(np.float64).tolist()
+    Q = embed_batch(docs.column("text")).astype(np.float64).tolist()
+    doc_ids = chunks.column("doc_id").to_pylist()
+    chunk_ids = chunks.column("chunk_id").to_pylist()
+    want = []
+    for qd, q in sorted(zip(docs.column("doc_id").to_pylist(), Q)):
+        scored = sorted(
+            (-round(math.fsum(a * b for a, b in zip(m, q)), 6), d, c)
+            for d, c, m in zip(doc_ids, chunk_ids, M)
+            if d != qd
+        )
+        want.extend((qd, d, c, -s) for s, d, c in scored[:CHUNK_KNN_K])
+    got = [
+        (r["query_doc_id"], r["doc_id"], r["chunk_id"], r["cos_sim"])
+        for r in chunk_knn_topk(sf_dir).to_pylist()
+    ]
+    assert len(want) == len(CHUNK_KNN_QUERIES) * CHUNK_KNN_K
+    assert got == want
