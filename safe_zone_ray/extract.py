@@ -105,13 +105,15 @@ _VEC_FALLBACK_CLASS = (
     "[&\x1c-\x1f\x85\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]"
 )
 # Rows where a tag name is directly followed by a non-ASCII character (the
-# ASCII tag end above declines them), or where a tag name holds a dotless or
-# dotted I: Python's IGNORECASE matches 'ı' and 'İ' against 'i', RE2's does
-# not. The earlier passes only insert spaces, so testing the raw html finds
-# every such tag.
+# ASCII tag end above declines them), or where a tag name holds one of the
+# four non-ASCII letters that case-fold onto an ASCII one: Python's
+# IGNORECASE matches dotless/dotted I ('ı', 'İ') against 'i' and RE2's does
+# not; RE2's (?i) folds long s ('ſ') onto 's' and the Kelvin sign onto 'k',
+# while the frozen extractor's '</\1>' backreference does not. The earlier
+# passes only insert spaces, so testing the raw html finds every such tag.
 _TAG_NAME_NON_ASCII = (
     rf"(?i:<(?:/?(?:{_BLOCK_TAGS})|{'|'.join(_DROP_TAGS)}))[^\x00-\x7f]"
-    r"|</?[0-9A-Za-z\x{130}\x{131}]*[\x{130}\x{131}]"
+    r"|</?[0-9A-Za-z\x{130}\x{131}\x{17f}\x{212a}]*[\x{130}\x{131}\x{17f}\x{212a}]"
 )
 _NEEDS_ROW = f"{_VEC_FALLBACK_CLASS}|{_TAG_NAME_NON_ASCII}"
 

@@ -22,10 +22,8 @@ from safe_zone_ray.langid import PROFILES
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
-# RE2 form of ``_WS_RE.sub(" ", ...)`` for the batch path: it matches only
-# the whitespace that a collapse to one space changes
-WS_COLLAPSE_PATTERN = r"\s\s+|[\t\n\f\r]"
-_SYMBOL_RE_PATTERN = r"[#@$%^&*+=<>~|\\{}\[\]]"  # shared with the RE2 batch path
+# every symbol is ASCII: the batch path counts them as bytes
+_SYMBOL_RE_PATTERN = r"[#@$%^&*+=<>~|\\{}\[\]]"  # shared with the DuckDB oracle
 _SYMBOL_RE = re.compile(_SYMBOL_RE_PATTERN)
 _ELLIPSIS_RE = re.compile(r"\.\.\.|…")
 _BULLET_RE = re.compile(r"^[\-\*•‣▪]", re.MULTILINE)
@@ -48,6 +46,9 @@ well. The committee will meet on Monday to discuss the annual budget and the
 plan for the coming year. Science and art both depend on careful observation
 and honest description of what is seen. Thank you for reading this example.
 """
+
+
+SCORE_SLICE_BYTES = 1 << 16
 
 
 class CharBigramLM:
@@ -83,9 +84,9 @@ class CharBigramLM:
 
     def perplexity_batch(self, lower_arr, max_chars: int = 2000):
         """Vectorized batch scoring, numerically identical to calling
-        ``perplexity`` per row: normalise with Arrow kernels
-        (``normalise_batch``), then score every row's byte pairs in ONE
-        gather over the concatenated buffer (``score_normalised``).
+        ``perplexity`` per row: normalise the whole batch
+        (``normalise_batch``), then score every row's byte pairs with
+        gathers over the concatenated buffer (``score_normalised``).
 
         ``lower_arr`` is a lowercased Arrow string array; returns a float64
         numpy array."""
@@ -96,57 +97,109 @@ class CharBigramLM:
         r"""What ``perplexity`` scores, per row: the first ``max_chars``
         codepoints, whitespace runs collapsed to one space, trimmed.
 
-        The collapse (``WS_COLLAPSE_PATTERN``) replaces only the whitespace
-        that changes: runs of two or more, and a single ``\t``, ``\n``,
-        ``\f`` or ``\r``. A lone space is its own replacement, so the
-        strings equal those of ``\s+`` → " " with about a tenth of the
-        matches. RE2's ``\s`` is ASCII-only; rows where Python's ``\s``
-        differs take the langquality stage's per-row fallback."""
+        The slice runs only when a row is longer than ``max_chars`` bytes.
+        The collapse (``collapse_whitespace``) works on the bytes and knows
+        RE2's ASCII-only ``\s``; rows where Python's ``\s`` differs take
+        the langquality stage's per-row fallback. Null rows come back
+        empty."""
+        import numpy as np
         import pyarrow.compute as pc
 
-        s = pc.utf8_slice_codeunits(lower_arr, 0, max_chars)
-        s = pc.replace_substring_regex(s, WS_COLLAPSE_PATTERN, " ")
-        return pc.utf8_trim_whitespace(s)
+        s = pc.fill_null(lower_arr, "")
+        if len(s) and np.diff(string_buffers(s)[1]).max() > max_chars:
+            s = pc.utf8_slice_codeunits(s, 0, max_chars)  # only a row this long can change
+        return pc.utf8_trim_whitespace(collapse_whitespace(s))
 
     def score_normalised(self, s):
-        """Perplexity of each normalised row: one byte-pair gather over the
-        concatenated buffer, pairs that cross a row boundary masked, and a
-        segment sum with ``np.add.reduceat``."""
+        """Perplexity of each normalised row: byte-pair gathers over the
+        concatenated buffer, pairs that cross a row boundary zeroed, and a
+        segment sum per row with ``np.add.reduceat``.
+
+        The rows go in slices of about ``SCORE_SLICE_BYTES``. Each row's
+        segment holds the same values as in one pass over the whole buffer
+        (its pairs, then its zeroed boundary pair), so every sum is the same
+        to the bit; but the float64 temporaries stay small enough for the
+        allocator to reuse. Whole-block ones were mapped and faulted in
+        afresh on every call, a quarter of the stage's time on a 2000-row
+        block."""
         import numpy as np
         import pyarrow as pa
-        import pyarrow.compute as pc
 
-        binary = pc.cast(s, pa.binary())
-        if isinstance(binary, pa.ChunkedArray):
-            binary = binary.combine_chunks()
-        n_rows = len(binary)
+        if isinstance(s, pa.ChunkedArray):
+            s = s.combine_chunks()
+        n_rows = len(s)
         out = np.full(n_rows, float(self._vocab_size), dtype=np.float64)
-        if n_rows == 0:
-            return out
-        offsets = np.frombuffer(binary.buffers()[1], dtype=np.int32)[
-            binary.offset : binary.offset + n_rows + 1
-        ].astype(np.int64)
-        data = np.frombuffer(binary.buffers()[2], dtype=np.uint8)
+        data, offsets = string_buffers(s)
         if len(data) < 2:
             return out
-        # the same entries as self._logp[data[:-1], data[1:]], gathered by
-        # flat 16-bit index (about twice as fast as 2-D fancy indexing)
-        pair_lp = self._logp.ravel().take((data[:-1].astype(np.uint16) << 8) | data[1:])
-        # zero out pairs that straddle a row boundary (position offsets[i]-1)
-        boundary = offsets[1:-1] - 1
-        boundary = boundary[(boundary >= 0) & (boundary < len(pair_lp))]
-        pair_lp[boundary] = 0.0
-        starts = np.minimum(offsets[:-1], len(pair_lp))
-        sums = np.add.reduceat(np.append(pair_lp, 0.0), np.append(starts, len(pair_lp)))[:-1]
-        # rows with empty byte range after a non-empty one: reduceat repeats —
-        # recompute lengths and guard
-        lens = offsets[1:] - offsets[:-1]
-        counts = np.maximum(lens - 1, 0)
+        logp = self._logp.ravel()
+        n_pairs = len(data) - 1
+        starts = np.minimum(offsets, n_pairs)  # row r's pairs start at starts[r]
+        sums = np.empty(n_rows)
+        cuts = np.searchsorted(offsets, np.arange(SCORE_SLICE_BYTES, n_pairs, SCORE_SLICE_BYTES))
+        bounds = np.unique(np.concatenate([[0], cuts, [n_rows]]))
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            lo, hi = starts[r0], starts[r1]
+            d = data[lo : hi + 1]
+            seg = np.empty(hi - lo + 1)  # the pairs lo..hi-1 and one 0.0 slot
+            # the same entries as self._logp[d[:-1], d[1:]], gathered by
+            # flat 16-bit index (about twice as fast as 2-D fancy indexing)
+            np.take(logp, (d[:-1].astype(np.uint16) << 8) | d[1:], out=seg[:-1])
+            seg[-1] = 0.0
+            # zero the pairs that straddle a row boundary (offsets[r+1]-1)
+            boundary = offsets[r0 + 1 : r1 + 1] - 1
+            seg[boundary[(boundary >= lo) & (boundary < hi)] - lo] = 0.0
+            # a row without pairs gets one element here; `valid` masks it
+            sums[r0:r1] = np.add.reduceat(seg, starts[r0 : r1 + 1] - lo)[:-1]
+        counts = np.maximum(offsets[1:] - offsets[:-1] - 1, 0)
         valid = counts >= 1
-        # reduceat quirk: when starts[i] == starts[i+1] (empty row), the
-        # segment sum is pair_lp[starts[i]] — mask those rows via `valid`
         out[valid] = np.exp(-sums[valid] / counts[valid])
         return out
+
+
+def collapse_whitespace(s):
+    r"""``replace_substring_regex(s, r"\s+", " ")`` on the bytes, for a
+    string array without nulls: every RE2 ``\s`` byte (``\t \n \f \r``
+    and space) becomes a space, and a space that follows one in the same
+    row is dropped. UTF-8 multi-byte sequences hold no ASCII byte, so this
+    is exact for any string."""
+    import numpy as np
+    import pyarrow as pa
+
+    data, offsets = string_buffers(s)
+    b = np.frombuffer(data.tobytes().translate(_RE2_SPACE_TO_SPACE), np.uint8)
+    ws = b == 0x20
+    drop = np.zeros(len(b), dtype=bool)
+    drop[1:] = ws[1:] & ws[:-1]
+    drop[offsets[:-1][offsets[:-1] < len(b)]] = False  # a row's first byte stays
+    dropped = np.flatnonzero(drop)
+    if len(dropped):
+        per_row = np.bincount(np.searchsorted(offsets, dropped, side="right") - 1, minlength=len(s))
+        offsets = offsets - np.concatenate([[0], np.cumsum(per_row)])
+        b = b[~drop]
+    return pa.StringArray.from_buffers(
+        len(s), pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(b)
+    )
+
+
+_RE2_SPACE_TO_SPACE = bytes.maketrans(b"\t\n\f\r", b"    ")
+
+
+def string_buffers(arr):
+    """``(data, offsets)`` of a string or binary Arrow array as numpy views:
+    the UTF-8 bytes of its rows, and int64 row offsets into them that start
+    at 0 (row ``i`` is ``data[offsets[i]:offsets[i + 1]]``)."""
+    import numpy as np
+    import pyarrow as pa
+
+    wide = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
+    if len(arr) == 0:
+        return np.zeros(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
+    offsets = np.frombuffer(arr.buffers()[1], dtype=np.int64 if wide else np.int32)
+    offsets = offsets[arr.offset : arr.offset + len(arr) + 1].astype(np.int64)
+    buf = arr.buffers()[2]
+    data = np.frombuffer(buf, dtype=np.uint8) if buf is not None else np.zeros(0, np.uint8)
+    return data[offsets[0] : offsets[-1]], offsets - offsets[0]
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,117 @@
 """Pages reader and decisions writer.
 
-S1/S2 analogue (SURVEY.md section 2.1): ``ray.data.read_parquet`` over the
-pages directory — each row is one ``DetectRequest``. ``include_paths`` tags
-every row with its input fragment (file) for lineage/resume. S5/S6 analogue:
-partitioned Parquet decisions + lineage sidecar.
+S1/S2 analogue (SURVEY.md section 2.1): ``read_pages`` reads the pages
+directory through ``PagesDatasource``, one read task per Parquet file,
+planned from the files' footers — each row is one ``DetectRequest``.
+``include_paths`` tags every row with its input fragment (file) for
+lineage/resume. S5/S6 analogue: partitioned Parquet decisions + lineage
+sidecar.
 """
 
 from __future__ import annotations
 
+import functools
+
 import ray.data
+from ray.data.datasource import Datasource, ReadTask
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 
 MIN_BLOCK_BYTES = 1 << 20
+
+
+class PagesDatasource(Datasource):
+    """One read task per Parquet file of ``pages_path``, each reading its
+    whole file as one block, planned from the files' footers alone.
+
+    The files are those ``ray.data.read_parquet`` finds for the same
+    path(s) (``pyarrow.dataset`` discovery). Each footer gives the file's
+    row count and its uncompressed size over the read columns; that is the
+    whole plan. ``ray.data.read_parquet`` would build a ``ParquetDataset``
+    again and launch remote tasks that sample every file to estimate an
+    encoding ratio, on each build; a plan of one block per file needs
+    neither. A file whose footer cannot be read fails here, with its name,
+    and so does a path that holds no Parquet file.
+    Each file is read with its own schema, and hive-style ``key=value``
+    directories add no columns.
+    """
+
+    def __init__(
+        self,
+        pages_path: str | list[str],
+        columns: list[str] | None = None,
+        include_paths: bool = False,
+    ):
+        import pyarrow as pa
+        import pyarrow.dataset as pads
+        import pyarrow.parquet as pq
+
+        self.columns = columns or PAGES_COLUMNS
+        self.include_paths = include_paths
+        found = pads.dataset(pages_path, format="parquet")
+        self.files, self._filesystem = found.files, found.filesystem
+        if not self.files:
+            raise FileNotFoundError(f"no Parquet files in {pages_path}")
+        self.rows, self.sizes = [], []
+        self._schema = None
+        for f in self.files:
+            try:
+                meta = pq.read_metadata(f, filesystem=self._filesystem)
+            except (OSError, pa.ArrowException) as e:
+                raise type(e)(f"cannot read the Parquet footer of {f}: {e}") from e
+            read = [
+                i
+                for i in range(meta.num_columns)
+                if meta.schema.column(i).path.split(".")[0] in self.columns
+            ]
+            self.rows.append(meta.num_rows)
+            self.sizes.append(
+                sum(
+                    meta.row_group(g).column(i).total_uncompressed_size
+                    for g in range(meta.num_row_groups)
+                    for i in read
+                )
+            )
+            if self._schema is None:
+                schema = meta.schema.to_arrow_schema()
+                fields = [schema.field(c) for c in self.columns if c in schema.names]
+                if include_paths:
+                    fields.append(pa.field("path", pa.string()))
+                self._schema = pa.schema(fields)
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self.sizes)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        """One task per file, whatever ``parallelism`` asks."""
+        from ray.data.block import BlockMetadata
+
+        return [
+            ReadTask(
+                functools.partial(
+                    _read_file, f, self.columns, self.include_paths, self._filesystem
+                ),
+                BlockMetadata(num_rows=rows, size_bytes=size, input_files=[f], exec_stats=None),
+                schema=self._schema,
+            )
+            for f, rows, size in zip(self.files, self.rows, self.sizes)
+        ]
+
+
+def _read_file(path, columns, include_paths, filesystem):
+    """The block of one pages file (none when it holds no rows)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    table = pq.read_table(path, columns=columns, filesystem=filesystem)
+    if include_paths:
+        paths = pc.fill_null(pa.nulls(table.num_rows, pa.string()), path)
+        table = table.append_column("path", paths)
+    return [table] if table.num_rows else []
 
 
 def read_pages(
@@ -23,11 +122,11 @@ def read_pages(
     """Column-pruned streaming read of the pages table, one block per input
     file, with every read task admitted at once.
 
-    The read plan is worked out from the input:
+    The read plan is worked out from the footers (``PagesDatasource``):
 
-    - one read task and one block per Parquet file (``override_num_blocks``
-      = number of files), so Ray adds no ``SplitBlocks`` op and the read
-      fuses with the stages and the write into one operator;
+    - one read task and one block per Parquet file, so Ray adds no
+      ``SplitBlocks`` op and the read fuses with the stages and the write
+      into one operator (named ``ReadParquet`` like Ray's own read);
     - the Dataset's own ``DataContext.target_max_block_size`` is set to
       twice the largest file's footer-uncompressed size over the read
       columns, clamped to [1 MiB, Ray's default].
@@ -42,33 +141,12 @@ def read_pages(
     the real block size makes the guess right from the start. Only this
     plan's copy of the context changes; the global one is left alone.
     """
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
     from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE
 
-    columns = columns or PAGES_COLUMNS
-    # the files ray.data.read_parquet finds for the same path(s)
-    found = pads.dataset(pages_path, format="parquet")
-    largest = 0
-    for f in found.files:
-        meta = pq.read_metadata(f, filesystem=found.filesystem)
-        read = [
-            i for i in range(meta.num_columns) if meta.schema.column(i).path.split(".")[0] in columns
-        ]
-        size = sum(
-            meta.row_group(g).column(i).total_uncompressed_size
-            for g in range(meta.num_row_groups)
-            for i in read
-        )
-        largest = max(largest, size)
-    ds = ray.data.read_parquet(
-        pages_path,
-        columns=columns,
-        include_paths=include_paths,
-        override_num_blocks=len(found.files) or None,
-    )
+    source = PagesDatasource(pages_path, columns, include_paths)
+    ds = ray.data.read_datasource(source, override_num_blocks=len(source.files))
     ds.context.target_max_block_size = min(
-        DEFAULT_TARGET_MAX_BLOCK_SIZE, max(MIN_BLOCK_BYTES, 2 * largest)
+        DEFAULT_TARGET_MAX_BLOCK_SIZE, max(MIN_BLOCK_BYTES, 2 * max(source.sizes))
     )
     return ds
 

@@ -47,6 +47,7 @@ from safe_zone_ray.core.confidence import (
 from safe_zone_ray.core.detect import detect_one
 from safe_zone_ray.core.placeholders import BLOCKLIST_PLACEHOLDER, make_placeholder
 from safe_zone_ray.registry import EXOTIC_TEXT, NON_ASCII_TEXT, get_compiled_registry
+from safe_zone_ray.stages import pylist
 
 DETECTION = pa.struct(
     [
@@ -150,11 +151,6 @@ def _mask(matches: pa.Array) -> np.ndarray:
     return matches.to_numpy(zero_copy_only=False)
 
 
-def _pylist(arr: pa.Array) -> list:
-    """``arr.to_pylist()`` for a string array, without a scalar per value."""
-    return arr.to_numpy(zero_copy_only=False).tolist()
-
-
 def _dirty_rows(text: pa.Array, compiled, spans_in_re2: bool):
     """Sort the dirty rows: ``(fast_rows, fast_hits, slow_rows, subsets)``.
 
@@ -180,7 +176,7 @@ def _dirty_rows(text: pa.Array, compiled, spans_in_re2: bool):
         part = text if len(rows) == len(text) else text.take(rows)
         if prefilter is None:
             dirty = np.array(
-                [compiled.any_hit.search(t) is not None for t in _pylist(part)], dtype=bool
+                [compiled.any_hit.search(t) is not None for t in pylist(part)], dtype=bool
             )
             slow_rows.append(rows[dirty])
             subsets += [None] * int(dirty.sum())
@@ -225,8 +221,8 @@ def _detect_one_rows(
 ) -> _Rows:
     """The reference-faithful row kernel on ``rows``."""
     out = _Rows(rows)
-    texts = _pylist(text.take(rows))
-    for url, t, subset in zip(_pylist(urls.take(rows)), texts, subsets):
+    texts = pylist(text.take(rows))
+    for url, t, subset in zip(pylist(urls.take(rows)), texts, subsets):
         res = detect_one(
             t,
             compiled,
@@ -344,8 +340,8 @@ def _ascii_detections(text, urls, fast_rows, fast_hits, compiled, mode, threshol
     ]
     blocks = [resolve_action(c, *thresholds) == "BLOCK" for c in conf]
     out_rows, first, count = np.unique(row, return_index=True, return_counts=True)
-    texts = _pylist(text.take(out_rows))
-    rids = _pylist(urls.take(out_rows))
+    texts = pylist(text.take(out_rows))
+    rids = pylist(urls.take(out_rows))
     kinds, starts, ends = kind.tolist(), start.tolist(), end.tolist()
     placeholders = []
     out = _Rows(out_rows, contains_pii=pa.array(np.ones(len(out_rows), dtype=bool)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from safe_zone_ray.extract import extract_text
+from safe_zone_ray.stages import pylist
 
 
 # ``_host_of`` as one RE2 kernel: everything up to the FIRST "://" (if any)
@@ -44,7 +45,7 @@ def _extract_html(htmls_bin: pa.Array) -> pa.Array:
     except pa.ArrowInvalid:
         pass
     # the cast failed: find the invalid rows, keep the rest vectorized
-    raws = htmls_bin.to_pylist()
+    raws = pylist(htmls_bin)
     bad = np.zeros(len(raws), dtype=bool)
     for i, h in enumerate(raws):
         if h is not None:

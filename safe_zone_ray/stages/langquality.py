@@ -14,6 +14,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from safe_zone_ray.quality import QualityConfig, QualityScorer
+from safe_zone_ray.stages import pylist
 
 # Rows matching this class rerun the per-row reference scorer: CJK-range
 # codepoints (detect_language short-circuit) and whitespace characters where
@@ -23,6 +24,49 @@ _FALLBACK_CLASS = (
     "[\u2e80-\U0010ffff"
     "\x0b\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]"
 )
+
+
+def _token_bytes() -> bytes:
+    """The byte table of the batch path's one lookup over the text's UTF-8
+    bytes. ASCII word characters (Python's ``\\w``) map to their lowercase,
+    ``_SYMBOL_RE_PATTERN``'s symbols to ``_SYM`` and the ASCII members of
+    ``_FALLBACK_CLASS`` to ``_FALLBACK_ASCII`` (both ASCII whitespace, below
+    0x20), every other ASCII byte to a space. Bytes >= 0x80 stay, so a row
+    is ASCII when none of its bytes is >= 0x80."""
+    import re
+
+    from safe_zone_ray.quality import _SYMBOL_RE
+
+    table = bytearray(range(256))
+    for b in range(0x80):
+        c = chr(b)
+        if re.fullmatch(r"\w", c):
+            table[b] = ord(c.lower())
+        elif _SYMBOL_RE.fullmatch(c):
+            table[b] = _SYM
+        elif re.fullmatch(_FALLBACK_CLASS, c):
+            table[b] = _FALLBACK_ASCII
+        else:
+            table[b] = 0x20
+    return bytes(table)
+
+
+_SYM, _FALLBACK_ASCII = 0x09, 0x0B
+_TOKEN_BYTES = _token_bytes()
+_DROP_REASONS = pa.array(
+    [
+        "quality:too_few_words",
+        "quality:too_many_words",
+        "quality:mean_word_length",
+        "quality:symbol_ratio",
+        "quality:stopword_fraction",
+        "quality:duplicate_lines",
+        "quality:perplexity",
+        "",
+    ],
+    pa.string(),
+)
+
 
 
 class LangQualityStage:
@@ -88,47 +132,87 @@ class LangQualityStage:
         return _CACHED_STAGE
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Vectorized scoring: all counting metrics and per-language stopword
-        hits are Arrow RE2 kernels over the whole column (a ``\\b(w1|w2|…)\\b``
-        count equals token-set membership because every ``\\w+`` token is
-        boundary-flanked); perplexity is one numpy gather over the batch and
-        the duplicate-line fraction a dictionary encode of the batch's lines.
-        Only ``_FALLBACK_CLASS`` rows (and every row when a fastText model or
-        a word LM is loaded) become Python strings. Equivalence with the
-        per-row reference scorer is pinned by
+        """Vectorized scoring, in two row sets.
+
+        One table lookup over the text's UTF-8 bytes (``_TOKEN_BYTES``)
+        lowercases ASCII letters, turns every other ASCII byte that is not
+        a word character into whitespace, and marks the symbols and the
+        ASCII ``_FALLBACK_CLASS`` bytes. That gives every row's symbol
+        count (all of ``_SYMBOL_RE_PATTERN``'s symbols are ASCII, so a byte
+        count is exact) and the ASCII rows' tokens, split by
+        ``ascii_split_whitespace``. Only the rows with a byte >= 0x80 run
+        the Unicode kernels: ``utf8_lower``, ``tokenize`` (which decodes
+        their non-ASCII characters), the diacritic and the
+        ``_FALLBACK_CLASS`` scans. No kernel compiles a Unicode class for
+        an all-ASCII batch.
+
+        Stopword hits are one ``index_in`` hash join of the tokens against
+        the union vocabulary, perplexity numpy gathers over the batch's
+        bytes and the duplicate-line fraction a dictionary encode of the
+        batch's lines. Only ``_FALLBACK_CLASS`` rows (and every row when a
+        fastText model or a word LM is loaded) become Python strings.
+        Equivalence with the per-row reference scorer is pinned by
         tests/test_langquality_vectorized.py."""
         import numpy as np
         import pyarrow.compute as pc
 
-        from safe_zone_ray.quality import _SYMBOL_RE_PATTERN
+        from safe_zone_ray.quality import string_buffers
 
-        # one chunk: dictionary codes and take indices are then batch-wide
+        # one chunk: row offsets and take indices are then batch-wide
         text_arr = pc.fill_null(batch.column("text_extracted"), "")
         if isinstance(text_arr, pa.ChunkedArray):
             text_arr = text_arr.combine_chunks()
-        lower_arr = pc.utf8_lower(text_arr)
         n = batch.num_rows
+        data, offsets = string_buffers(text_arr)
+        tok = np.frombuffer(bytearray(data).translate(_TOKEN_BYTES), np.uint8)
 
-        # Tokenise ONCE; everything token-derived (word count, word chars,
-        # per-language stopword membership) comes from hash joins + segment
-        # sums over the flattened token array — no per-language regex scan
-        # of the text.
-        flat, parent = tokenize(lower_arr)
-        flat_len = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-        n_words_a = np.bincount(parent, minlength=n).astype(np.int64)
+        def row_of(pos):
+            return np.searchsorted(offsets, pos, side="right") - 1
+
+        marked = np.flatnonzero(tok < 0x20)
+        marked_rows, marked_cls = row_of(marked), tok[marked]
+        sym_hits = np.bincount(marked_rows[marked_cls == _SYM], minlength=n)
+        fallback = [marked_rows[marked_cls == _FALLBACK_ASCII]]
+        high = np.unique(row_of(np.flatnonzero(tok >= 0x80)))
+
+        # Tokens: the ASCII rows from the translated bytes (the non-ASCII
+        # rows blanked first), the non-ASCII rows from ``tokenize`` over
+        # their utf8_lower. Token counts, lengths and stopword indices
+        # are segment sums, so the two sets just add up.
+        for r in high:
+            tok[offsets[r] : offsets[r + 1]] = 0x20
+        flat, parent = _split_words(offsets, tok)
+        parts = [
+            (parent, pc.binary_length(flat).to_numpy(zero_copy_only=False), self._vocab_index(flat))
+        ]
+        diacritic_rows = np.zeros(0, dtype=np.int64)
+        if len(high):
+            text_high = text_arr.take(high)
+            lower_high = pc.utf8_lower(text_high)
+            flat_high, parent_high = tokenize(lower_high)
+            parts.append(
+                (
+                    high[parent_high],
+                    pc.utf8_length(flat_high).to_numpy(zero_copy_only=False),
+                    self._vocab_index(flat_high),
+                )
+            )
+            is_fallback = pc.match_substring_regex(text_high, _FALLBACK_CLASS)
+            fallback.append(high[is_fallback.to_numpy(zero_copy_only=False)])
+            # the rows the reference scorer treats as non-ASCII: any
+            # codepoint >= U+00C0 (the Spanish class holds ¿ and ¡, which are
+            # below that bound, so the gate matters)
+            is_dia = pc.match_substring_regex(text_high, "[À-\U0010FFFF]")
+            in_high = np.flatnonzero(is_dia.to_numpy(zero_copy_only=False))
+            diacritic_rows, lower_dia = high[in_high], lower_high.take(in_high)
+        parent, flat_len, idx = (np.concatenate(p) for p in zip(*parts))
+        n_words_a = np.bincount(parent[flat_len > 0], minlength=n)
         word_chars = np.bincount(parent, weights=flat_len, minlength=n)
-        sym_hits = pc.count_substring_regex(text_arr, _SYMBOL_RE_PATTERN).to_numpy(
-            zero_copy_only=False
-        )
         denom = np.maximum(n_words_a, 1).astype(np.float64)
         mean_wl_a = np.where(n_words_a > 0, word_chars / denom, 0.0)
         sym_ratio_a = np.where(n_words_a > 0, sym_hits / denom, 0.0)
 
-        # per-language stopword hits: ONE index_in hash join against the
-        # union vocabulary, then numpy membership gathers per language
-        idx = pc.fill_null(
-            pc.index_in(flat, value_set=self._union_vocab), -1
-        ).to_numpy(zero_copy_only=False)
+        # per-language stopword hits: numpy membership gathers per language
         known = idx >= 0
         k_rows = parent[known]
         k_idx = idx[known]
@@ -139,40 +223,43 @@ class LangQualityStage:
         scores = hits / denom[None, :]
         en_idx = self._langs.index("en")
         stop_frac_a = np.where(n_words_a > 0, hits[en_idx] / denom, 0.0)
-        # Diacritic bonus, vectorized: one count kernel per language class
-        # over the rows the reference scorer treats as non-ASCII (any
-        # codepoint >= U+00C0 — the Spanish class contains ¿/¡ which are
-        # BELOW that bound, so the gate matters). Other rows get bonus 0;
-        # langid scores get the bonus, stopword_fraction doesn't.
-        non_ascii = np.flatnonzero(
-            pc.match_substring_regex(text_arr, "[À-\U0010FFFF]").to_numpy(
-                zero_copy_only=False
-            )
-        )
-        if len(non_ascii):
+        # Diacritic bonus: one count kernel per language class over the
+        # non-ASCII rows. Other rows get bonus 0; langid scores get the
+        # bonus, stopword_fraction doesn't.
+        if len(diacritic_rows):
             from safe_zone_ray.langid import _DIACRITICS
 
-            lower_na = lower_arr.take(non_ascii)
             for li, lang in enumerate(self._langs):
                 dia = _DIACRITICS.get(lang)
                 if not dia:
                     continue
-                cnt = pc.count_substring_regex(lower_na, f"[{dia}]").to_numpy(
+                cnt = pc.count_substring_regex(lower_dia, f"[{dia}]").to_numpy(
                     zero_copy_only=False
                 )
-                scores[li, non_ascii] += np.minimum(0.2, 0.02 * cnt)
+                scores[li, diacritic_rows] += np.minimum(0.2, 0.02 * cnt)
         best = scores.argmax(axis=0)
         best_score = scores[best, np.arange(n)]
 
-        # CJK and diacritic handling live entirely in the per-row non-ASCII
-        # fallback below (such rows are never ASCII), so no extra kernels here.
-        langs_out = np.array([self._langs[b] for b in best], dtype=object)
+        # lang ids are codes into lang_names; the per-row paths below may
+        # add names outside LANGS ("zh", a fastText label)
+        lang_names = [*self._langs, "und"]
+        lang_code = best.astype(np.int32)
         score_out = np.minimum(1.0, best_score * 2.5)
         und = (best_score <= 0.0) | (n_words_a == 0)
-        langs_out[und] = "und"
+        lang_code[und] = len(self._langs)
         score_out[und] = 0.0
 
-        ppls = self.scorer.lm.perplexity_batch(lower_arr)
+        def set_lang(i, lang, score):
+            if lang not in lang_names:
+                lang_names.append(lang)
+            lang_code[i] = lang_names.index(lang)
+            score_out[i] = score
+
+        # ASCII rows lowercase byte for byte; the non-ASCII rows are scored
+        # again from their utf8_lower
+        ppls = self.scorer.lm.perplexity_batch(pc.ascii_lower(text_arr))
+        if len(high):
+            ppls[high] = self.scorer.lm.perplexity_batch(lower_high)
         dup_frac_a = _dup_line_fraction(text_arr)
 
         # Narrow per-row fallback: the unicode split class above makes the
@@ -183,24 +270,15 @@ class LangQualityStage:
         # (\v, \x1c-\x1f, NEL, NBSP, ogham/general-punct spaces, LS/PS,
         # NNBSP, MMSP, ideographic space), which would skew the perplexity
         # normalisation. Both are ~absent from real web-extracted text.
-        fallback = np.flatnonzero(
-            pc.match_substring_regex(text_arr, _FALLBACK_CLASS).to_numpy(
-                zero_copy_only=False
-            )
-        )
+        fallback = np.unique(np.concatenate(fallback))
         if len(fallback):
             from safe_zone_ray.langid import detect_language
 
-            rows = zip(
-                fallback,
-                text_arr.take(fallback).to_pylist(),
-                lower_arr.take(fallback).to_pylist(),
-            )
+            texts = text_arr.take(fallback)
+            rows = zip(fallback, pylist(texts), pylist(pc.utf8_lower(texts)))
             for i, text, lower in rows:
                 m = self.scorer.metrics(text, lower=lower)
-                lang, score = detect_language(text, tokens=m.tokens)
-                langs_out[i] = lang
-                score_out[i] = score
+                set_lang(i, *detect_language(text, tokens=m.tokens))
                 n_words_a[i] = m.n_words
                 mean_wl_a[i] = m.mean_word_len
                 sym_ratio_a[i] = m.symbol_word_ratio
@@ -212,14 +290,11 @@ class LangQualityStage:
         # comes from it (probability as the score); all counting/perplexity
         # metrics above are model-independent and stand unchanged.
         if self.ft_model is not None:
-            for i, text in enumerate(text_arr.to_pylist()):
+            for i, text in enumerate(pylist(text_arr)):
                 pred = self.ft_model.predict(text.replace("\n", " "), k=1)
-                if pred:
-                    langs_out[i], score_out[i] = pred[0][0], pred[0][1]
-                else:
-                    langs_out[i], score_out[i] = "und", 0.0
+                set_lang(i, *(pred[0] if pred else ("und", 0.0)))
 
-        # decision rules: np.select in the same fixed order as
+        # decision rules: the first failing rule, in the same fixed order as
         # QualityScorer.quality_drop_reason (stable drop_reason histograms)
         c = self.config
         conditions = [
@@ -231,37 +306,25 @@ class LangQualityStage:
             dup_frac_a > c.max_dup_line_fraction,
             ppls > c.max_perplexity,
         ]
-        choices = [
-            "quality:too_few_words",
-            "quality:too_many_words",
-            "quality:mean_word_length",
-            "quality:symbol_ratio",
-            "quality:stopword_fraction",
-            "quality:duplicate_lines",
-            "quality:perplexity",
-        ]
-        quality_reason = np.select(conditions, choices, default="").tolist()
         # independent per-rule bitmask (bit k = conditions[k]) for the
         # ablation report — computed HERE on the float64 arrays so borderline
-        # values can never diverge from the drop_reason chain above
+        # values can never diverge from the drop_reason chain
         quality_flags = np.zeros(n, dtype=np.int32)
-        for _k, _cond in enumerate(conditions):
-            quality_flags |= _cond.astype(np.int32) << _k
+        reason_code = np.full(n, len(_DROP_REASONS) - 1, dtype=np.int32)
+        for k in reversed(range(len(conditions))):
+            quality_flags |= conditions[k].astype(np.int32) << k
+            reason_code[conditions[k]] = k
 
-        langs, lang_scores = langs_out.tolist(), score_out.tolist()
-        n_words = n_words_a.tolist()
-        mean_wl = mean_wl_a.tolist()
-        sym_ratio = sym_ratio_a.tolist()
-        stop_frac = stop_frac_a.tolist()
-        dup_frac = dup_frac_a.tolist()
-        ppls = ppls.tolist()
+        def f32(values):
+            return pa.array(values.astype(np.float32))
+
         quality = pa.StructArray.from_arrays(
             [
-                pa.array(n_words, pa.int32()),
-                pa.array(mean_wl, pa.float32()),
-                pa.array(sym_ratio, pa.float32()),
-                pa.array(stop_frac, pa.float32()),
-                pa.array(dup_frac, pa.float32()),
+                pa.array(n_words_a.astype(np.int32)),
+                f32(mean_wl_a),
+                f32(sym_ratio_a),
+                f32(stop_frac_a),
+                f32(dup_frac_a),
             ],
             names=[
                 "n_words",
@@ -272,39 +335,108 @@ class LangQualityStage:
             ],
         )
         out = (
-            batch.append_column("lang_id", pa.array(langs, pa.string()))
-            .append_column("lang_score", pa.array(lang_scores, pa.float32()))
-            .append_column("perplexity", pa.array(ppls, pa.float32()))
+            batch.append_column("lang_id", pa.array(lang_names, pa.string()).take(lang_code))
+            .append_column("lang_score", f32(score_out))
+            .append_column("perplexity", f32(ppls))
             .append_column("quality", quality)
-            .append_column("quality_drop_reason", pa.array(quality_reason, pa.string()))
-            .append_column("quality_flags", pa.array(quality_flags, pa.int32()))
+            .append_column("quality_drop_reason", _DROP_REASONS.take(reason_code))
+            .append_column("quality_flags", pa.array(quality_flags))
         )
         if self.word_lm is not None:
-            wppl = [self.word_lm.perplexity(t) for t in text_arr.to_pylist()]
-            out = out.append_column("word_perplexity", pa.array(wppl, pa.float32()))
+            wppl = np.array([self.word_lm.perplexity(t) for t in pylist(text_arr)])
+            out = out.append_column("word_perplexity", f32(wppl))
         return out
+
+    def _vocab_index(self, flat: pa.Array):
+        """Each token's index in the union stopword vocabulary, -1 if none."""
+        import pyarrow.compute as pc
+
+        return pc.fill_null(pc.index_in(flat, value_set=self._union_vocab), -1).to_numpy(
+            zero_copy_only=False
+        )
 
 
 def tokenize(lower_arr: pa.Array):
     """The ``\\w+`` tokens of every row, flattened, and each token's row.
 
-    Tokens are the runs of the UNICODE class ``[\\p{L}\\p{N}_]``, which
-    matches Python's ``\\w+`` exactly for letters/digits/marks (the torture
-    cases in tests/test_langquality_vectorized.py), so diacritic text stays
-    on the vectorized path. Splitting on the complement directly costs one
-    RE2 match per space; instead only the runs of characters that are
-    neither word characters nor RE2 whitespace become a space, and
-    ``utf8_split_whitespace`` splits the rest. Returns the non-empty tokens
-    (an Arrow string array) and their row indices (numpy int)."""
+    A token is a run of Python word characters (``str.isalnum()`` or "_",
+    which is what ``re``'s ``\\w`` matches; below U+2E80, where the stage
+    uses it, that is also RE2's ``[\\p{L}\\p{N}_]``). ``_word_bytes`` turns
+    every other character into spaces, decoding only the non-ASCII ones in
+    numpy, and ``ascii_split_whitespace`` splits the rest. Returns the
+    non-empty tokens (an Arrow string array) and their row indices (numpy
+    int)."""
     import pyarrow.compute as pc
 
-    toks = pc.utf8_split_whitespace(
-        pc.replace_substring_regex(lower_arr, r"[^\p{L}\p{N}_\s]+", " ")
+    from safe_zone_ray.quality import string_buffers
+
+    data, offsets = string_buffers(lower_arr)
+    flat, parent = _split_words(offsets, _word_bytes(data))
+    keep = pc.binary_length(flat).to_numpy(zero_copy_only=False) > 0
+    return flat.filter(pa.array(keep)), parent[keep]
+
+
+def _split_words(offsets, word_bytes):
+    """``(tokens, rows)``: the whitespace-separated runs of ``word_bytes``,
+    the rows' bytes with every non-word character blanked, flattened (with
+    the empty strings a leading or trailing space leaves), and the row of
+    each."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    words = pc.ascii_split_whitespace(
+        pa.StringArray.from_buffers(
+            len(offsets) - 1, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(word_bytes)
+        )
     )
-    flat = pc.list_flatten(toks)
-    keep = pc.not_equal(flat, "")
-    parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-    return flat.filter(keep), parent[keep.to_numpy(zero_copy_only=False)]
+    return pc.list_flatten(words), pc.list_parent_indices(words).to_numpy(zero_copy_only=False)
+
+
+def _word_bytes(data):
+    """UTF-8 ``data`` through ``_TOKEN_BYTES``, and then the bytes of each
+    non-ASCII character that is not a word character blanked too (only the
+    non-ASCII characters are decoded)."""
+    import numpy as np
+
+    out = np.frombuffer(bytearray(data).translate(_TOKEN_BYTES), np.uint8)
+    lead = np.flatnonzero(data >= 0xC0)  # the first byte of each non-ASCII character
+    if len(lead):
+        b0 = data[lead].astype(np.int32)
+        width = 2 + (b0 >= 0xE0) + (b0 >= 0xF0)
+        last = len(data) - 1
+        b1, b2, b3 = (data[np.minimum(lead + k, last)].astype(np.int32) & 0x3F for k in (1, 2, 3))
+        cp = np.select(
+            [width == 2, width == 3],
+            [((b0 & 0x1F) << 6) | b1, ((b0 & 0x0F) << 12) | (b1 << 6) | b2],
+            ((b0 & 0x07) << 18) | (b1 << 12) | (b2 << 6) | b3,
+        )
+        other = ~_word_codepoints(cp)
+        for k in range(4):
+            out[(lead + k)[other & (k < width)]] = 0x20
+    return out
+
+
+_WORD_BMP = None
+
+
+def _word_codepoints(cp):
+    """Whether each code point is a Python word character: a lookup in a
+    table of the Basic Multilingual Plane, built once per process, and one
+    ``str.isalnum`` per distinct code point above it."""
+    import numpy as np
+
+    global _WORD_BMP
+    if _WORD_BMP is None:
+        bmp = "".join(map(chr, range(0x10000)))
+        _WORD_BMP = np.array([c.isalnum() for c in bmp], dtype=bool)
+        _WORD_BMP[ord("_")] = True
+    word = _WORD_BMP[np.minimum(cp, 0xFFFF)]
+    astral = cp > 0xFFFF
+    if astral.any():
+        above = np.unique(cp[astral])
+        is_word = np.array([chr(c).isalnum() for c in above])
+        word[astral] = is_word[np.searchsorted(above, cp[astral])]
+    return word
 
 
 def _dup_line_fraction(text_arr: pa.Array):

@@ -2,14 +2,15 @@
 
     python scripts/kernel_us.py <pages.parquet | directory of page files>
 
-Reads one page file whole, as the flagship read does (one block per file; for
-a directory, its first ``*.parquet`` file in name order), chains
-extract -> langquality -> detect -> decide once to warm every cache, then
-times each kernel on its own chained input. Prints one JSON line: per kernel
-the median of 9 calls in µs per row, plus the block's row count, and under
-``per_call_us`` each kernel's fixed cost per call: the median of 9 calls on a
-1-row slice of its input, in µs. pyarrow compiles a regex on every kernel
-call, so that cost shows there.
+Reads one page file whole with the flagship read's own read task
+(``PagesDatasource``: one block per file; for a directory, its first
+``*.parquet`` file in name order), chains extract -> langquality -> detect ->
+decide once to warm every cache, then times each kernel on its own chained
+input. Prints one JSON line: per kernel, and for the read task under
+``read``, the median of 9 calls in µs per row, plus the block's row count,
+and under ``per_call_us`` each kernel's fixed cost per call: the median of 9
+calls on a 1-row slice of its input, in µs. pyarrow compiles a regex on
+every kernel call, so that cost shows there.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ CALLS = 9
 
 def main(path: str) -> dict:
     import pyarrow as pa
-    import pyarrow.parquet as pq
 
     from safe_zone_ray.pipelines.quality_filter import PipelineConfig
+    from safe_zone_ray.sources.pages_io import PagesDatasource
     from safe_zone_ray.stages.decide import decide_batch
     from safe_zone_ray.stages.detect import detect_scrub_batch
     from safe_zone_ray.stages.extract import extract_batch
@@ -48,11 +49,13 @@ def main(path: str) -> dict:
         ),
         "decide": lambda b: decide_batch(b, allowed_langs=cfg.allowed_langs),
     }
-    block = pq.read_table(path)
-    out = {"rows": block.num_rows, "per_call_us": {}}
+    (read_task,) = PagesDatasource(path).get_read_tasks(1)
+    seconds, (block,) = _median_call(lambda _: list(read_task()), None)
+    rows = max(block.num_rows, 1)
+    out = {"rows": block.num_rows, "read": round(seconds * 1e6 / rows, 2), "per_call_us": {}}
     for name, fn in kernels.items():
         seconds, result = _median_call(fn, block)
-        out[name] = round(seconds * 1e6 / max(block.num_rows, 1), 2)
+        out[name] = round(seconds * 1e6 / rows, 2)
         out["per_call_us"][name] = round(_median_call(fn, block.slice(0, 1))[0] * 1e6, 1)
         block = result
     return out

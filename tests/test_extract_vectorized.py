@@ -56,7 +56,9 @@ def test_vectorized_torture_cases():
 def test_vectorized_non_ascii_after_tag_name():
     """The Arrow chain's ASCII tag end declines a non-ASCII character after a
     tag name; those rows, and tag names spelled with a dotless or dotted I
-    (Python's IGNORECASE folds both to i), take the per-row extractor."""
+    (Python's IGNORECASE folds both to i), a long s or a Kelvin sign (RE2's
+    (?i) folds them to s and k, the frozen extractor's backreference does
+    not), take the per-row extractor."""
     _check(
         [
             "a<p\xa0class=x>b</p>c",
@@ -71,6 +73,11 @@ def test_vectorized_non_ascii_after_tag_name():
             "a<lı>b</lı>c",
             "a<Lİ>b",
             "<scrİpt>x</script>y",
+            "<ſcript>x</script>y",
+            "x<ſtyle>q</style>z",
+            "<noſcript>n</noscript>m",
+            "<script>a</ſcript>b",
+            "<blocKquote>k</blocKquote>after",
             "<P>upper</P><BR/>case<H1>tags</H1>",
             "plain ascii <p class=x>row</p>",
         ]
@@ -90,7 +97,7 @@ def test_vectorized_hypothesis_fuzz():
     from hypothesis import strategies as st
 
     frag = st.one_of(
-        st.text(alphabet="ab <>/&;#xamp;lt\n\t\r\x0b\xa0é漢 ​—ıİ\u3000", max_size=12),
+        st.text(alphabet="ab <>/&;#xamp;lt\n\t\r\x0b\xa0é漢 ​—ıİſK\u3000", max_size=12),
         st.sampled_from(
             [
                 "<p>", "</p>", "<div class='x'>", "<br/>", "<script>", "</script>",
@@ -99,6 +106,7 @@ def test_vectorized_hypothesis_fuzz():
                 # open tag names: the next fragment may put a non-ASCII
                 # character right after the name
                 "<p", "</P", "<SCRIPT", "</script", "<li", "<lı", "<BR", "<style",
+                "<ſcript", "</ſcript", "<ſtyle", "<noſcript", "<blocKquote",
             ]
         ),
     )

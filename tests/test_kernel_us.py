@@ -1,6 +1,6 @@
 """Smoke test of scripts/kernel_us.py on the sf0.001 pages: one JSON line
 with a positive µs/doc and a positive fixed cost per call (1-row slice) for
-each of the four stage kernels."""
+each of the four stage kernels, and a positive µs/doc for the read task."""
 
 import json
 import os
@@ -19,6 +19,7 @@ def test_kernel_us_prints_every_kernel(sf_dir):
     )
     out = json.loads(run.stdout.strip().splitlines()[-1])
     assert out["rows"] > 0
+    assert out["read"] > 0
     for kernel in ("extract", "langquality", "detect", "decide"):
         assert out[kernel] > 0, kernel
         assert out["per_call_us"][kernel] > 0, kernel

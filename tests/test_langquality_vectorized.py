@@ -265,3 +265,73 @@ def test_dup_line_fraction_matches_row_scorer():
     got = _dup_line_fraction(pa.array(rows, pa.string()))
     assert got.tolist() == [scorer.metrics(t).dup_line_fraction for t in rows]
     assert got.max() > 0.5
+
+
+# Every ASCII character (the byte table classes each one: word characters,
+# the symbols, \x0b and \x1c-\x1f, \x7f and the other controls), plus a few
+# non-ASCII letters, punctuation marks and spaces.
+BYTE_PATH_ALPHABET = "".join(map(chr, range(0x80))) + "éÉüÜñßçøł¿¡«»—…\xa0 "
+
+
+def _reference_columns(scorer, text):
+    """Every langquality output column of one row, from the per-row
+    reference scorer."""
+    m = scorer.metrics(text, lower=text.lower())
+    lang, score = detect_language(text, tokens=m.tokens)
+    c = scorer.config
+    failed = [
+        m.n_words < c.min_words,
+        m.n_words > c.max_words,
+        not (c.min_mean_word_len <= m.mean_word_len <= c.max_mean_word_len),
+        m.symbol_word_ratio > c.max_symbol_word_ratio,
+        m.stopword_fraction < c.min_stopword_fraction,
+        m.dup_line_fraction > c.max_dup_line_fraction,
+        m.perplexity > c.max_perplexity,
+    ]
+    return {
+        "lang_id": lang,
+        "lang_score": score,
+        "perplexity": m.perplexity,
+        "quality": {
+            "n_words": m.n_words,
+            "mean_word_len": m.mean_word_len,
+            "symbol_word_ratio": m.symbol_word_ratio,
+            "stopword_fraction": m.stopword_fraction,
+            "dup_line_fraction": m.dup_line_fraction,
+        },
+        "quality_drop_reason": scorer.quality_drop_reason(m),
+        "quality_flags": sum(int(f) << k for k, f in enumerate(failed)),
+    }
+
+
+def test_byte_path_hypothesis_fuzz():
+    """Property: on text over every ASCII character and a few non-ASCII
+    ones, each output column of the stage equals the per-row reference, for
+    ASCII rows (the byte table path) and the others alike."""
+    import pyarrow as pa
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    piece = st.one_of(
+        st.sampled_from("The AND der Für le ÉTÉ el niño und was über".split()),
+        st.text(alphabet=BYTE_PATH_ALPHABET, max_size=10),
+    )
+    doc = st.lists(piece, max_size=16).map(" ".join)
+    stage = LangQualityStage()
+    scorer = QualityScorer()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(doc, min_size=1, max_size=8))
+    def run(texts):
+        batch = pa.Table.from_arrays(
+            [pa.array([f"u{i}" for i in range(len(texts))]), pa.array(texts)],
+            names=["url", "text_extracted"],
+        )
+        out = stage(batch).drop_columns(["url", "text_extracted"]).to_pylist()
+        for text, got in zip(texts, out):
+            want = _reference_columns(scorer, text)
+            got_q, want_q = got.pop("quality"), want.pop("quality")
+            assert got_q == pytest.approx(want_q, rel=1e-5, abs=1e-6), repr(text)
+            assert got == pytest.approx(want, rel=1e-5, abs=1e-6), repr(text)
+
+    run()

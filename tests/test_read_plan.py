@@ -1,10 +1,13 @@
 """The pages read plan is worked out from the input: one block per Parquet
 file, the stages fused with the read into one operator, and a block-size
 target set on the Dataset's own context, clamped to [1 MiB, Ray's default]
-and never written to the global context."""
+and never written to the global context. The plan comes from the footers
+alone (no sampling task), tags rows with the paths Ray's own read gives, and
+fails the build on a path without Parquet files or an unreadable footer."""
 
 import glob
 import os
+import re
 
 import pyarrow.parquet as pq
 import pytest
@@ -108,3 +111,62 @@ def test_target_clamped_above(one_file, monkeypatch):
     cap = MIN_BLOCK_BYTES + 1
     monkeypatch.setattr(ray.data.context, "DEFAULT_TARGET_MAX_BLOCK_SIZE", cap)
     assert read_pages(one_file).context.target_max_block_size == cap
+
+
+def _paths(ds):
+    return sorted(ds.unique("path"))
+
+
+def test_paths_match_ray_read_parquet(small_files):
+    """The ``path`` column holds what ``ray.data.read_parquet`` writes there,
+    for a directory and for a list of files."""
+    files = _files(small_files)
+    for source in (small_files, files[:2]):
+        want = ray.data.read_parquet(source, columns=["url"], include_paths=True)
+        got = read_pages(source, include_paths=True, columns=["url"])
+        assert _paths(got) == _paths(want)
+        assert got.count() == want.count()
+        assert got.schema().names == ["url", "path"]
+
+
+def test_build_submits_no_sampling_task(small_files, monkeypatch):
+    """The plan comes from the footers: Ray's per-file sampling tasks (which
+    estimate an encoding ratio the one-block-per-file plan never uses) are
+    not launched, neither when the Dataset is built nor when it runs."""
+    from ray.data._internal.datasource import parquet_datasource
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling task submitted")
+
+    monkeypatch.setattr(parquet_datasource, "sample_fragments", refuse)
+    with pytest.raises(AssertionError, match="sampling task"):
+        ray.data.read_parquet(small_files)  # the patch does reach Ray's own read
+    blocks = _blocks(read_pages(small_files))
+    rows = sum(pq.ParquetFile(f).metadata.num_rows for f in _files(small_files))
+    assert sum(b.num_rows for b in blocks) == rows
+
+
+def test_empty_directory_fails_with_its_name(ray_session, tmp_path):
+    """A path with no Parquet file fails the build, naming the path (the
+    column-pruned ``ray.data.read_parquet`` failed only when run, with a
+    ``KeyError`` on the first read column)."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(FileNotFoundError, match=re.escape(str(empty))):
+        read_pages(str(empty))
+
+
+def test_corrupt_file_fails_with_its_name(small_files, tmp_path):
+    """A file whose footer cannot be read fails the build, naming the file,
+    also when it is not the first file of the directory."""
+    import shutil
+
+    import pyarrow as pa
+
+    d = tmp_path / "pages"
+    d.mkdir()
+    shutil.copy(_files(small_files)[0], d / "pages-00000.parquet")
+    bad = d / "pages-00001.parquet"
+    bad.write_bytes(b"not a parquet file")
+    with pytest.raises(pa.ArrowInvalid, match=re.escape(str(bad))):
+        read_pages(str(d))
