@@ -427,15 +427,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dup_weight_annotations": dedup.dup_weight_annotations,
         # rows-only (MinHash): fuzzy eval-set overlap via broadcast join
         "benchmark_fuzzy_contamination": dedup.benchmark_fuzzy_contamination,
-        # character-level (Levenshtein <= k) near-dup join, complete PassJoin
-        # blocking; oracle at sf0.001 in tests (sf0.01 SQL cross join too
-        # big). Runs over corpus + deterministic planted typo variants (the
-        # raw corpus has zero char-level pairs — verified — so the plain
-        # join would be vacuous here; pii_flags_augmented precedent)
-        "edit_distance_pairs": __import__(
-            "safe_zone_ray.functions.editjoin",
-            fromlist=["edit_distance_pairs_augmented"],
-        ).edit_distance_pairs_augmented,
         "events_hourly": windows.events_hourly,
         "events_sliding": windows.events_sliding,
         "events_hourly_streaming": __import__(
@@ -656,29 +647,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_dedup_pairs": lambda sf_dir: similarity.embedding_dedup_pairs(
             sf_dir, threshold=0.3
         ),
-        # BPE tokenizer training (word-count table distributed, greedy merge
-        # loop on the vocabulary-sized result) + distributed application
-        # (rows-only — iterative greedy merging is not SQL-expressible;
-        # differential + planted-truth tests in tests/test_bpe.py)
-        "bpe_merges": __import__(
-            "safe_zone_ray.functions.bpe", fromlist=["bpe_merges"]
-        ).bpe_merges,
-        "bpe_token_counts": __import__(
-            "safe_zone_ray.functions.bpe", fromlist=["bpe_token_counts"]
-        ).bpe_token_counts,
         # SemDeDup: k-means cluster + intra-cluster exact cosine (rows-only —
         # k-means is not SQL-expressible; planted-truth + frozen goldens)
         "semdedup_pairs": similarity.semdedup_pairs,
         "semdedup_kept": similarity.semdedup_kept,
-        "doc_embeddings": __import__(
-            "safe_zone_ray.functions.embed", fromlist=["doc_embeddings"]
-        ).doc_embeddings,
-        "quality_classifier_weights": __import__(
-            "safe_zone_ray.functions.embed", fromlist=["train_quality_classifier"]
-        ).train_quality_classifier,
-        "label_counts_by_lang": __import__(
-            "safe_zone_ray.functions.embed", fromlist=["label_counts_by_lang"]
-        ).label_counts_by_lang,
         "corpus_prep_manifest": q_corpus_prep_manifest,
         "per_host_distinct_urls": __import__(
             "safe_zone_ray.functions.sketch", fromlist=["per_host_distinct_urls"]
@@ -686,9 +658,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "multi_signal_dedup_clusters": __import__(
             "safe_zone_ray.functions.dedup", fromlist=["multi_signal_dedup_clusters"]
         ).multi_signal_dedup_clusters,
-        "chunk_knn_topk": __import__(
-            "safe_zone_ray.functions.search", fromlist=["chunk_knn_topk"]
-        ).chunk_knn_topk,
         # exact substring dedup (Lee et al. 2022): both entries oracle-checked,
         # the scrub compares the actual spliced text
         "exact_substring_dup_stats": __import__(
@@ -796,24 +765,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # per-language tokenizer fertility audit (BPE-ish pre-tokens per
         # whitespace word), oracle-checked — combiner-first integer sums
         "token_fertility_by_lang": textstats.token_fertility_by_lang,
-        # Count-Min sketch point-frequency estimates (rows-only: hash
-        # positions have no SQL twin; CM guarantee pinned vs exact DuckDB
-        # counts in tests/test_countmin.py)
-        "countmin_token_freqs": __import__(
-            "safe_zone_ray.functions.countmin", fromlist=["countmin_token_freqs"]
-        ).countmin_token_freqs,
-        # product quantization (Jégou et al. 2011): compressed codes +
-        # fused encode/ADC top-k (rows-only: k-means codebooks have no SQL
-        # twin; recall + exhaustive-argmin reference in tests/test_pq.py)
-        "pq_codes": __import__(
-            "safe_zone_ray.functions.pq", fromlist=["pq_codes"]
-        ).pq_codes,
-        "pq_topk": __import__(
-            "safe_zone_ray.functions.pq", fromlist=["pq_topk"]
-        ).pq_topk,
-        "ivfpq_topk": __import__(
-            "safe_zone_ray.functions.pq", fromlist=["ivfpq_topk"]
-        ).ivfpq_topk,
         # margin-based bitext / parallel-pair mining (Artetxe & Schwenk
         # 2019), oracle-checked: broadcast pivot matrix, one bounded
         # backward-avg exchange, batch-local margin argmax
@@ -841,15 +792,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "zipf_law_fit": __import__(
             "safe_zone_ray.functions.corpusstats", fromlist=["zipf_law_fit"]
         ).zipf_law_fit,
-        # unigram-LM (SentencePiece) tokenizer trainer + distributed apply
-        # (rows-only: iterative EM has no SQL twin; brute-force lattice
-        # references + planted truths in tests/test_unigram.py)
-        "unigram_vocab": __import__(
-            "safe_zone_ray.functions.unigram", fromlist=["unigram_vocab"]
-        ).unigram_vocab,
-        "unigram_token_counts": __import__(
-            "safe_zone_ray.functions.unigram", fromlist=["unigram_token_counts"]
-        ).unigram_token_counts,
         # per-language percentile rank via grouped histogram-CDF (no
         # per-group sort), oracle-checked against SQL PERCENT_RANK()
         "lang_percentile_rank": __import__(
@@ -896,15 +838,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_adamic_adar": __import__(
             "safe_zone_ray.functions.linkpred", fromlist=["host_adamic_adar"]
         ).host_adamic_adar,
-        # hashed bag-of-words quality classifier (CCNet/fastText recipe:
-        # integer-exact sparse-gradient GD, holdout hash-split eval) —
-        # rows-only (iterative; twin-pinned in tests/test_qualitymodel.py)
-        "quality_model_scores": __import__(
-            "safe_zone_ray.functions.qualitymodel", fromlist=["quality_model_scores"]
-        ).quality_model_scores,
-        "quality_model_report": __import__(
-            "safe_zone_ray.functions.qualitymodel", fromlist=["quality_model_report"]
-        ).quality_model_report,
     }
     return {k: built[k] for k in _query_order(built)}
 
@@ -996,7 +929,6 @@ def _query_order(built: dict) -> list[str]:
         "kept_tokens_by_lang",
         "pii_per_host",
         "pii_type_histogram",
-        "label_counts_by_lang",
         "ann_lsh_topk",
         "ann_partitioned_topk",
         "exact_dedup",
@@ -1073,7 +1005,6 @@ def _query_order(built: dict) -> list[str]:
         "url_path_templates",
         "host_adamic_adar",
         "benchmark_fuzzy_contamination",
-        "edit_distance_pairs",
         "documents_profile_approx",
         "compression_ratio_stats",
         "approx_value_quantiles",
@@ -1088,24 +1019,11 @@ def _query_order(built: dict) -> list[str]:
         "ngram_jaccard_pairs",
         "ann_ivf_topk",
         "embedding_dedup_pairs",
-        "bpe_merges",
-        "bpe_token_counts",
         "semdedup_pairs",
         "semdedup_kept",
-        "doc_embeddings",
-        "quality_classifier_weights",
         "corpus_prep_manifest",
         "per_host_distinct_urls",
         "multi_signal_dedup_clusters",
-        "chunk_knn_topk",
-        "unigram_vocab",
-        "unigram_token_counts",
-        "pq_codes",
-        "pq_topk",
-        "ivfpq_topk",
-        "countmin_token_freqs",
-        "quality_model_scores",
-        "quality_model_report",
     ]
     named = window + tail
     assert len(named) == len(set(named)), "duplicate key in query order"
@@ -1511,10 +1429,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "dup_weight_annotations": __import__(
             "safe_zone_ray.functions.dedup", fromlist=["dup_weight_annotations_oracle_sql"]
         ).dup_weight_annotations_oracle_sql(),
-        # two-table distributed equi-join (documents x embeddings)
-        "label_counts_by_lang": __import__(
-            "safe_zone_ray.functions.embed", fromlist=["label_counts_by_lang_oracle_sql"]
-        ).label_counts_by_lang_oracle_sql(),
         "events_hourly": """
             SELECT date_trunc('hour', ts) AS window_start,
                    event_type,

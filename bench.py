@@ -189,19 +189,11 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         timed("word_cooccurrence_pmi", analytics.word_cooccurrence_pmi)
         timed("doc_token_deciles", analytics.doc_token_deciles)
         timed("signup_week_events", windows.signup_week_events)
-        # RAG-prep chunk retrieval over the documents table
-        timed("chunk_knn_topk", search.chunk_knn_topk)
-        # round-4 continuation: table profiling (two streaming passes) and
-        # the exact Levenshtein join (three bucketed exchanges; UDF ~1 s at
-        # sf0.1, wall dominated by the sandbox's per-exchange floor)
+        # round-4 continuation: table profiling (two streaming passes)
         prof = __import__(
             "safe_zone_ray.functions.profile", fromlist=["documents_profile"]
         )
         timed("documents_profile", prof.documents_profile)
-        timed("edit_distance_pairs", __import__(
-            "safe_zone_ray.functions.editjoin",
-            fromlist=["edit_distance_pairs_augmented"],
-        ).edit_distance_pairs_augmented)
         # exact substring dedup (Lee et al. 2022): one fingerprint exchange
         # over every char position + a doc-bucketed interval union
         timed("exact_substring_dup_stats", __import__(

@@ -66,8 +66,9 @@ def extract_text(html_bytes: bytes | str) -> str:
 # and the steps below are expressible in RE2; every other row reruns the
 # frozen extractor. Those are the rows with HTML entities ('&'), with
 # whitespace where str.strip() and RE2's \s differ (_VEC_FALLBACK_CLASS), and
-# with a tag name followed by a non-ASCII character or spelled with ı/İ
-# (_TAG_NAME_NON_ASCII). Byte-identity with extract_text is pinned by
+# with a tag name followed by a non-ASCII character (_TAG_NAME_NEXT_NON_ASCII)
+# or spelled with ı, İ, ſ or the Kelvin sign (_TAG_NAME_CASE_FOLD).
+# Byte-identity with extract_text is pinned by
 # tests/test_extract.py::test_vectorized_matches_row_extractor and
 # tests/test_extract_vectorized.py.
 
@@ -82,7 +83,7 @@ _TAG_END = r"(?:>|[^>\p{L}\p{N}_][^>]*>)"
 # instead of the unicode tables on every call (pyarrow does not cache
 # compiled regexes) and scans bytes instead of code points. It agrees with
 # Python wherever the character after a tag name is ASCII; the rows where it
-# is not are found by _TAG_NAME_NON_ASCII and rerun per row.
+# is not are found by _TAG_NAME_NEXT_NON_ASCII and rerun per row.
 _TAG_END_ASCII = r"(?:>|[^>0-9A-Za-z_\x80-\x{10FFFF}][^>]*>)"
 # Python \s is unicode (includes \v, FS-US, NEL, NBSP, the general-punct
 # spaces); RE2 \s is ASCII-only — spell the set out for the closer tag.
@@ -104,24 +105,29 @@ _BLOCK_TAG_SQLSAFE = rf"(?i)</?(?:{_BLOCK_TAGS}){_TAG_END_ASCII}"
 _VEC_FALLBACK_CLASS = (
     "[&\x1c-\x1f\x85\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]"
 )
-# Rows where a tag name is directly followed by a non-ASCII character (the
-# ASCII tag end above declines them), or where a tag name holds one of the
-# four non-ASCII letters that case-fold onto an ASCII one: Python's
-# IGNORECASE matches dotless/dotted I ('ı', 'İ') against 'i' and RE2's does
-# not; RE2's (?i) folds long s ('ſ') onto 's' and the Kelvin sign onto 'k',
-# while the frozen extractor's '</\1>' backreference does not. The earlier
-# passes only insert spaces, so testing the raw html finds every such tag.
-_TAG_NAME_NON_ASCII = (
+# Rows where a tag name is directly followed by a non-ASCII character: the
+# ASCII tag end above declines them.
+_TAG_NAME_NEXT_NON_ASCII = (
     rf"(?i:<(?:/?(?:{_BLOCK_TAGS})|{'|'.join(_DROP_TAGS)}))[^\x00-\x7f]"
-    r"|</?[0-9A-Za-z\x{130}\x{131}\x{17f}\x{212a}]*[\x{130}\x{131}\x{17f}\x{212a}]"
 )
-_NEEDS_ROW = f"{_VEC_FALLBACK_CLASS}|{_TAG_NAME_NON_ASCII}"
+# Rows where a tag name holds one of the four non-ASCII letters that
+# case-fold onto an ASCII one: Python's IGNORECASE matches dotless/dotted I
+# ('ı', 'İ') against 'i' and RE2's does not; RE2's (?i) folds long s ('ſ')
+# onto 's' and the Kelvin sign onto 'k', while the frozen extractor's '</\1>'
+# backreference does not. No RE2 spelling decides these rows, so the DuckDB
+# oracle refuses them (oracle/decisions_sql._extract_expr).
+_TAG_NAME_CASE_FOLD = (
+    r"</?[0-9A-Za-z\x{130}\x{131}\x{17f}\x{212a}]*[\x{130}\x{131}\x{17f}\x{212a}]"
+)
+# The earlier passes only insert spaces, so testing the raw html finds every
+# such tag.
+_NEEDS_ROW = f"{_VEC_FALLBACK_CLASS}|{_TAG_NAME_NEXT_NON_ASCII}|{_TAG_NAME_CASE_FOLD}"
 
 
 def extract_text_column(html_col):
     """Arrow string array of raw html → extracted text array (frozen spec),
-    vectorized; rows matching ``_VEC_FALLBACK_CLASS`` or
-    ``_TAG_NAME_NON_ASCII`` rerun ``extract_text`` per row for exact parity."""
+    vectorized; rows matching ``_NEEDS_ROW`` rerun ``extract_text`` per row
+    for exact parity."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc

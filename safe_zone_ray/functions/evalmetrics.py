@@ -35,8 +35,7 @@ Calibration bins use the same scored pass, bucketing the micro-score into
 10 fixed-width bins with per-batch ≤10-row partials.
 
 Reference parity: no reference counterpart (the Go service has no model
-evaluation surface); beyond-reference training-data operator alongside
-``functions/embed.py::train_quality_classifier``.
+evaluation surface); beyond-reference training-data operator.
 """
 
 from __future__ import annotations

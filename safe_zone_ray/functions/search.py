@@ -556,115 +556,3 @@ def dsir_select_oracle_sql(keep_num: int = 7, keep_den: int = 10) -> str:
         )
         SELECT w.doc_id, w.weight_micro FROM w, cut WHERE w.weight_micro >= cut.c
     """
-
-
-CHUNK_KNN_QUERIES = (0, 17, 42)
-CHUNK_KNN_K = 5
-
-
-def chunk_knn_topk(
-    sf_dir: str,
-    query_doc_ids: tuple[int, ...] = CHUNK_KNN_QUERIES,
-    k: int = CHUNK_KNN_K,
-) -> pa.Table:
-    """Chunk-level retrieval — the RAG-prep composition: overlapping
-    character-window chunks (``textstats.doc_chunks``) are embedded with
-    the hashed-feature kernel (``embed.embed_batch``) INSIDE the same
-    map_batches pass (chunk text never ships anywhere), scored against a
-    broadcast query matrix (the query docs' full-text embeddings — k-row
-    pushdown read), and cut to a per-batch partial top-k; the driver merges
-    ≤ k rows per (query, batch). Chunks of the query doc itself are
-    excluded. Output (query_doc_id, doc_id, chunk_id, cos_sim) ordered by
-    (query_doc_id, cos_sim DESC, doc_id, chunk_id) — fully deterministic.
-
-    Similarities are computed in float64 from the float32 embeddings (the
-    precision ``similarity.knn_bruteforce`` uses). A float32 product sums
-    in an order that depends on the batch's row count and on the BLAS
-    kernel, so a value near a 6-decimal boundary could round either way;
-    each float32×float32 product is exact in float64 and the float64 sum
-    error is far below the rounding step, so the rounded ``cos_sim`` — and
-    hence the top-k — no longer depends on batch size or BLAS kernel.
-
-    Scale shape: identical to ``similarity.knn_bruteforce`` (broadcast
-    small side, per-batch matmul, bounded partials); for standing chunk
-    indexes at 10^9+ chunks, build the hive-partitioned ANN index over the
-    chunk embeddings instead (``similarity.ann_build_index`` — same
-    embedding kernel, bucket signatures on chunk vectors)."""
-    import heapq
-
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    from safe_zone_ray.functions.embed import embed_batch
-    from safe_zone_ray.functions.textstats import doc_chunks
-
-    qids = list(query_doc_ids)
-    qt = pq.read_table(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text"],
-        filters=pads.field("doc_id").isin(qids),
-    )
-    order = {int(d): i for i, d in enumerate(qt.column("doc_id").to_pylist())}
-    # (n_queries, dim), L2-normalized; widened once for the float64 product
-    Q = embed_batch(qt.column("text")).astype(np.float64)
-    q_ref = ray.put((np.array(sorted(order, key=order.get), dtype=np.int64), Q))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        q_doc_ids, Qm = ray.get(q_ref)
-        M = embed_batch(batch.column("chunk_text"))  # (n_chunks, dim)
-        sims = M.astype(np.float64) @ Qm.T  # chunk x query, float64
-        doc = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        chunk = batch.column("chunk_id").to_numpy(zero_copy_only=False)
-        out_q, out_d, out_c, out_s = [], [], [], []
-        for j, qd in enumerate(q_doc_ids):
-            # round BEFORE the cut so the partial top-k uses the identical
-            # (rounded sim, doc, chunk) ordering as the driver merge —
-            # otherwise two chunks whose sims round equal could be cut
-            # differently depending on batch boundaries
-            col = np.round(sims[:, j], 6)
-            mask = doc != qd  # never retrieve the query doc's own chunks
-            idx = np.nonzero(mask)[0]
-            if len(idx) == 0:
-                continue
-            # deterministic partial cut: sim DESC, then (doc, chunk) ASC
-            sel = idx[np.lexsort((chunk[idx], doc[idx], -col[idx]))[:k]]
-            out_q.extend([int(qd)] * len(sel))
-            out_d.extend(int(x) for x in doc[sel])
-            out_c.extend(int(x) for x in chunk[sel])
-            out_s.extend(float(col[i]) for i in sel)
-        return pa.Table.from_arrays(
-            [
-                pa.array(out_q, pa.int64()),
-                pa.array(out_d, pa.int64()),
-                pa.array(out_c, pa.int64()),
-                pa.array(out_s, pa.float64()),
-            ],
-            names=["query_doc_id", "doc_id", "chunk_id", "cos_sim"],
-        )
-
-    partials = (
-        doc_chunks(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .take_all()
-    )  # <= k rows per (query, batch)
-    best: dict[int, list] = {int(q): [] for q in qids}
-    for r in partials:
-        heapq.heappush(
-            best[r["query_doc_id"]],
-            (-r["cos_sim"], r["doc_id"], r["chunk_id"]),
-        )
-    rows = []
-    for qd in sorted(best):
-        heap = best[qd]
-        for _ in range(min(k, len(heap))):
-            s, d, c = heapq.heappop(heap)
-            rows.append((qd, d, c, -s))
-    return pa.Table.from_arrays(
-        [
-            pa.array([r[0] for r in rows], pa.int64()),
-            pa.array([r[1] for r in rows], pa.int64()),
-            pa.array([r[2] for r in rows], pa.int64()),
-            pa.array([r[3] for r in rows], pa.float64()),
-        ],
-        names=["query_doc_id", "doc_id", "chunk_id", "cos_sim"],
-    )

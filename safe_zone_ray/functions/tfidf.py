@@ -6,9 +6,10 @@ Scale shape (the only exchange is vocabulary-sized):
 1. DF pass: each batch tokenizes (shared ``\\W+`` RE2 split, lowercased)
    and emits per-batch DISTINCT (term, n_docs) partials — a doc never
    spans batches, so per-batch doc-presence counts sum exactly. One
-   vocabulary-sized ``groupby(term).sum`` finishes; the result (~10^7-10^8
-   rows on a real crawl, same argument as ``bpe.corpus_word_counts``) is
-   collected once and broadcast via ``ray.put`` as sorted arrays.
+   vocabulary-sized ``groupby(term).sum`` finishes; the result is
+   collected once and broadcast via ``ray.put`` as sorted arrays (a
+   10^12-doc crawl still has only ~10^7-10^8 distinct words, well inside
+   driver memory).
 2. Score pass: each batch recomputes its (doc, term, tf) counts with one
    ``np.unique`` over integer-coded pairs, resolves df by vectorized
    ``searchsorted`` against the broadcast vocabulary, scores

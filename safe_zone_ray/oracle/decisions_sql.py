@@ -87,8 +87,13 @@ def _extract_expr(col: str) -> str:
     pins the same open/close tag the backreference would). The RE2-safe
     tag-end / whitespace constructions are shared with the vectorized Arrow
     extractor (``extract._TAG_END`` / ``_PY_WS`` — see the \\b divergence
-    note there)."""
-    from safe_zone_ray.extract import _PY_WS, _TAG_END
+    note there).
+
+    A row whose html has a tag name spelled with ı, İ, ſ or the Kelvin sign
+    (``extract._TAG_NAME_CASE_FOLD``) raises instead: RE2's case folding
+    differs from the frozen extractor's there, and no RE2 spelling decides
+    such a tag. The Arrow chain reruns these rows in Python; SQL cannot."""
+    from safe_zone_ray.extract import _PY_WS, _TAG_END, _TAG_NAME_CASE_FOLD
 
     _BLOCK_TAG_SQL = (
         r"(?i)</?(?:p|div|br|li|ul|ol|tr|td|th|table|h[1-6]|title|head|body|html|nav|header|"
@@ -110,7 +115,12 @@ def _extract_expr(col: str) -> str:
     e = f"regexp_replace({e}, ' ?\\n ?', chr(10), 'g')"
     e = f"regexp_replace({e}, '\\n+', chr(10), 'g')"
     e = f"trim({e}, ' ' || chr(10))"
-    return e
+    return (
+        f"CASE WHEN regexp_matches({col}, '{_q(_TAG_NAME_CASE_FOLD)}') "
+        "THEN error('html tag name with ı, İ, ſ or the Kelvin sign: RE2 case "
+        "folding differs from the frozen extractor, so SQL cannot extract it') "
+        f"ELSE {e} END"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,86 @@
+"""Size ledger: the counts a shrinking change states before and after.
+Usage: python scripts/size_ledger.py [sf_dir]  (default /root/testdata/sf0.001)
+
+Prints package lines, `def test_` count, the queries() / oracle_sql() /
+GOLDEN / GOLDEN_SF001 sizes, the entries that qualify for the driver window
+(oracle-backed and absent from CORRECTNESS_r01-r04), and the modules that
+no import statement, top-level or lazy, reaches from the engine entry points.
+"""
+
+from __future__ import annotations
+
+import ast
+import glob
+import json
+import os
+import re
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "tests")]
+ENTRY = ["cli", "pipelines.corpus_prep", "pipelines.quality_filter", "state.lineage",
+         "server", "gateway_http", "client", "oracle.decisions_sql"]
+
+
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def lines(path: str) -> int:
+    return read(path).count("\n")
+
+
+def imports(path: str, known: set[str]) -> set[str]:
+    """Every safe_zone_ray module named by an import or __import__ in `path`,
+    plus the packages above each (importing a module runs their __init__).
+    The package uses absolute imports only."""
+    names = set()
+    for n in ast.walk(ast.parse(read(path))):
+        if isinstance(n, ast.Import):
+            names |= {a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            names |= {n.module} | {f"{n.module}.{a.name}" for a in n.names}
+        elif isinstance(n, ast.Call) and getattr(n.func, "id", "") == "__import__":
+            if n.args and isinstance(n.args[0], ast.Constant):
+                names.add(n.args[0].value)
+    parts = {".".join(m.split(".")[:i + 1]) for m in names for i in range(m.count(".") + 1)}
+    return parts & known
+
+
+def main(sf_dir: str) -> None:
+    files = glob.glob(os.path.join(ROOT, "safe_zone_ray", "**", "*.py"), recursive=True)
+    path_of = {os.path.relpath(f, ROOT)[:-3].replace(os.sep, ".").removesuffix(".__init__"): f
+               for f in files}
+    seen, todo = set(), [f"safe_zone_ray.{m}" for m in ENTRY]
+    while todo:
+        m = todo.pop()
+        if m not in seen:
+            seen.add(m)
+            todo += imports(path_of[m], set(path_of)) - seen
+    tests = glob.glob(os.path.join(ROOT, "tests", "test_*.py"))
+    n_tests = sum(len(re.findall(r"^\s*def test_", read(t), re.M)) for t in tests)
+
+    import __ray_entry__ as e
+    import test_golden_hashes as g
+
+    queries, oracle = list(e.queries()), e.oracle_sql(sf_dir)
+    checked = set()
+    for p in glob.glob(os.path.join(ROOT, "CORRECTNESS_r0[1-4].json")):
+        checked |= set(json.loads(read(p)))
+    print(f"package lines     {sum(lines(f) for f in files)}")
+    print(f"def test_         {n_tests}")
+    print(f"queries()         {len(queries)}")
+    print(f"oracle_sql()      {len(oracle)}")
+    print(f"GOLDEN            {len(g.GOLDEN)}")
+    print(f"GOLDEN_SF001      {len(g.GOLDEN_SF001)}")
+    print(f"window-qualifying {sum(k in oracle and k not in checked for k in queries)}")
+    off = sorted(set(path_of) - seen)
+    print(f"off the engine import graph: {len(off)} modules, "
+          f"{sum(lines(path_of[m]) for m in off)} lines")
+    for m in off:
+        print(f"  {lines(path_of[m]):6d}  {m}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001")

@@ -9,6 +9,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+SCRIPTS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"
+)
+
 
 def _write(tmp_path, name, table, n_fragments=1):
     d = str(tmp_path / name)
@@ -60,7 +64,7 @@ def test_user_event_analytics_planted(ray_session, tmp_path):
 def test_user_event_analytics_matches_oracle_sf(ray_session, sf_dir):
     import sys
 
-    sys.path.insert(0, "/root/repo/scripts")
+    sys.path.insert(0, SCRIPTS)
     from check_oracle import value_hash
 
     from safe_zone_ray.functions.windows import (
@@ -114,7 +118,7 @@ def test_per_source_quota_planted_and_fragment_invariant(ray_session, tmp_path):
 def test_per_source_quota_matches_oracle_sf(ray_session, sf_dir):
     import sys
 
-    sys.path.insert(0, "/root/repo/scripts")
+    sys.path.insert(0, SCRIPTS)
     from check_oracle import value_hash
 
     from safe_zone_ray.functions.textstats import (

@@ -119,6 +119,24 @@ def test_winnow_sql_matches_python(con):
     )
 
 
+def test_extract_sql_refuses_case_fold_tag_names():
+    """Tag names spelled with ı, İ or ſ fold differently in RE2 and in the
+    frozen extractor, so the SQL extraction must raise on them rather than
+    return text that differs from ``extract_text``; other rows pass."""
+    from safe_zone_ray.extract import extract_text
+    from safe_zone_ray.oracle.decisions_sql import _extract_expr
+
+    c = duckdb.connect()
+    sql = f"SELECT {_extract_expr('h')} FROM (SELECT ? AS h)"
+    for html in ("a<p>b", "a <b>ı</b> b"):
+        assert c.execute(sql, [html]).fetchone()[0] == extract_text(html)
+    for html in (
+        "a<lı>b", "a<scrİpt>x</script>b", "<ſcript>x</script>y", "x<ſtyle>q</style>z"
+    ):
+        with pytest.raises(duckdb.Error, match="Kelvin sign"):
+            c.execute(sql, [html]).fetchone()
+
+
 def test_rule_ablation_oracle_parity_and_invariants(ray_session, pages_dir):
     """Per-rule ablation: exact DuckDB parity (same bitmask re-derived in
     the recursive chain) + the structural invariants that make the report

@@ -1,8 +1,8 @@
 """Frozen-golden value hashes for the queries the driver can only rows-check.
 
 The rows-only ``queries()`` entries have no DuckDB oracle (uint64-wraparound
-MinHash/SimHash/LSH arithmetic, k-means codebooks, iterative BPE merging,
-and other kernels SQL cannot express).
+MinHash/SimHash/LSH arithmetic, k-means cluster lists and other kernels
+SQL cannot express).
 Planted-truth tests pin their SEMANTICS; these fixtures pin their exact
 OUTPUT: the driver-style order-insensitive value hash (sorted columns,
 stringified rows, sorted, sha256 — same algorithm as
@@ -42,29 +42,10 @@ GOLDEN = {
     # fraction by design — real corpora use 0.95+)
     "semdedup_pairs": ("6ae1146ff753e361", 351),
     "semdedup_kept": ("af2448c0ec834dee", 149),
-    # BPE training on the fixed synthetic vocabulary (differential-tested
-    # against an independent reference implementation in test_bpe.py)
-    "bpe_merges": ("16fbdfaa3811cc95", 64),
-    "bpe_token_counts": ("fc76ca9772b2f712", 500),
-    "doc_embeddings": ("17c9526c86dddb37", 500),
-    "quality_classifier_weights": ("a7bea768ec42d78a", 4),
     "corpus_prep_manifest": ("ca99ea8c033a6870", 1),
     "duplicate_passages": ("8acbf857a27fbb14", 23),
     # MinHash ∪ SimHash pair streams -> one connected-components pass
     "multi_signal_dedup_clusters": ("c2c5bb613e028107", 51),
-    # RAG-prep composition: chunk -> embed-in-batch -> broadcast-query knn
-    # regenerated 2026-08-18: the partial top-k cut now orders by ROUNDED
-    # similarity (same key as the driver merge) — batch-boundary-independent
-    # regenerated 2026-10-19 (was 83e8d6974e0a8712): similarities are now
-    # float64. The float32 sgemm summed in a batch-size- and BLAS-kernel-
-    # dependent order, so 6-decimal rounding moved with the layout (and the
-    # rounded float32 values printed with float32 noise). The new value
-    # equals an exact reference: every sf0.001 chunk embedded with
-    # embed_batch, each dot product math.fsum of the float64-widened
-    # embeddings rounded to 6 decimals, self-doc chunks dropped, top 5 per
-    # query by (sim DESC, doc_id, chunk_id); same hash at 1/2/4/8 CPUs.
-    # tests/test_search.py::test_chunk_knn_matches_exact_reference pins it
-    "chunk_knn_topk": ("dbf9d74dad060a7d", 15),
     # grouped HLL (blake2b — deterministic); accuracy vs the exact DuckDB
     # count is pinned in tests/test_sketch_grouped.py
     "per_host_distinct_urls": ("b6131234bced25d5", 50),
@@ -81,23 +62,6 @@ GOLDEN = {
     "benchmark_fuzzy_contamination": ("78bf79f359b57413", 3),
     # grouped DDSketch (per event_type), hash verified at 4/8 CPUs
     "value_quantiles_by_type": ("b436d65195a2cbe4", 30),
-    # unigram-LM tokenizer (iterative EM — no SQL twin; lattice math
-    # brute-force-verified in tests/test_unigram.py)
-    "unigram_vocab": ("0769e5671d80a389", 48),
-    "unigram_token_counts": ("31f95b9f6042b4b6", 37),
-    # product quantization (k-means codebooks — no SQL twin; exhaustive-
-    # argmin encoder reference + ADC recall pins in tests/test_pq.py)
-    "pq_codes": ("9ca08584831c35de", 500),
-    "pq_topk": ("e5a765d2a1bc7f2e", 30),
-    "ivfpq_topk": ("4d6fbde7af5eed6d", 30),
-    # Count-Min point-frequency estimates (hash positions — no SQL twin;
-    # est >= exact and bounded overestimate pinned in tests/test_countmin.py)
-    "countmin_token_freqs": ("12d65cbc05f1c751", 31),
-    # hashed bag-of-words quality classifier (iterative GD — no SQL twin;
-    # exact single-process-twin equality + layout invariance + planted
-    # separable corpus in tests/test_qualitymodel.py)
-    "quality_model_scores": ("bc6b04fdfacd0aaa", 500),
-    "quality_model_report": ("8d09581a3540b4dd", 15),
 }
 
 

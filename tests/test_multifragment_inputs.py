@@ -46,7 +46,6 @@ def _df(obj) -> pd.DataFrame:
         "doc_length_quantiles",
         "doc_fingerprints",
         "minhash_dedup_pairs",
-        "doc_embeddings",
         # round-3 continuation ops whose intermediate sketches ARE
         # batch-dependent (Bloom partials, MG summaries, LM gram batches):
         # the confirm/merge passes must erase that dependence exactly

@@ -1,6 +1,7 @@
 """Pages synthesizer determinism + CLI smoke tests."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from safe_zone_ray.pages import PAGES_SCHEMA, pages_from_documents_batch
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +58,7 @@ def test_cli_scan_roundtrip():
     out = subprocess.run(
         [sys.executable, "-m", "safe_zone_ray.cli", "scan", "--text",
          "reach me at x@y.co and 123-45-6789", "--rid", "t"],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=ROOT,
     )
     data = json.loads(out.stdout)
     assert data["contains_pii"] is True
@@ -67,7 +70,7 @@ def test_cli_scan_block_mode_exit_code():
     out = subprocess.run(
         [sys.executable, "-m", "safe_zone_ray.cli", "scan", "--text", "a@b.co",
          "--mode", "BLOCK"],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=ROOT,
     )
     assert out.returncode == 1  # blocked → nonzero exit
 
@@ -76,10 +79,10 @@ def test_cli_registry_crud(tmp_path):
     import shutil
 
     reg = tmp_path / "reg.json"
-    shutil.copy("/root/repo/safe_zone_ray/rules/registry.json", reg)
+    shutil.copy(os.path.join(ROOT, "safe_zone_ray", "rules", "registry.json"), reg)
     run = lambda *a: subprocess.run(
         [sys.executable, "-m", "safe_zone_ray.cli", "registry", *a, "--registry", str(reg)],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=ROOT,
     )
     out = run("patterns", "list")
     assert '"EMAIL"' in out.stdout
@@ -97,14 +100,14 @@ def test_cli_run_job(tmp_path):
         [sys.executable, "-m", "safe_zone_ray.cli", "synth-pages",
          "--sf-dir", "/root/testdata/sf0.001", "--out", str(pages),
          "--variants", "2", "--rows-per-file", "500"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert synth.returncode == 0, synth.stderr[-2000:]
     out = subprocess.run(
         [sys.executable, "-m", "safe_zone_ray.cli", "run",
          "--input", str(pages), "--output", str(tmp_path / "job"),
          "--num-cpus", "4"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     data = json.loads(out.stdout[out.stdout.index("{"):])
@@ -124,7 +127,7 @@ def test_cli_prep_subcommand(tmp_path):
         [sys.executable, "-m", "safe_zone_ray.cli", "prep",
          "--input", "/root/testdata/sf0.001", "--output", out,
          "--seq-len", "1024", "--num-cpus", "4"],
-        capture_output=True, text=True, timeout=600, cwd="/root/repo",
+        capture_output=True, text=True, timeout=600, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr[-800:]
     line = [l for l in proc.stdout.splitlines() if l.startswith("{")][-1]

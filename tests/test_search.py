@@ -270,87 +270,3 @@ def test_dsir_select_matches_oracle(ray_session, sf_dir, con):
         .reset_index(drop=True)
     )
     assert got.equals(want)
-
-
-def test_chunk_knn_topk(ray_session, sf_dir):
-    from safe_zone_ray.functions.search import CHUNK_KNN_QUERIES, chunk_knn_topk
-
-    t = chunk_knn_topk(sf_dir)
-    rows = t.to_pylist()
-    assert len(rows) == len(CHUNK_KNN_QUERIES) * 5
-    for r in rows:
-        assert r["doc_id"] != r["query_doc_id"]  # self-chunks excluded
-        assert -1.0001 <= r["cos_sim"] <= 1.0001
-    # per-query ordering: cos_sim DESC
-    for q in CHUNK_KNN_QUERIES:
-        sims = [r["cos_sim"] for r in rows if r["query_doc_id"] == q]
-        assert sims == sorted(sims, reverse=True)
-
-
-def test_chunk_knn_fragment_invariance(ray_session, sf_dir, tmp_path):
-    """Identical output regardless of input fragmentation (the partial
-    top-k merge must be batch-boundary independent)."""
-    import pyarrow.parquet as pq
-
-    from safe_zone_ray.functions.search import chunk_knn_topk
-
-    src = pq.read_table(f"{sf_dir}/documents.parquet")
-    frag_dir = tmp_path / "docs_refrag"
-    frag_dir.mkdir()
-    third = src.num_rows // 3
-    for i in range(3):
-        end = src.num_rows if i == 2 else (i + 1) * third
-        pq.write_table(src.slice(i * third, end - i * third), str(frag_dir / f"part{i}.parquet"))
-    # point the reader at a dir with documents.parquet name convention
-    import shutil
-
-    wrapped = tmp_path / "sf_refrag"
-    wrapped.mkdir()
-    # doc_chunks reads <sf>/documents.parquet; give it a directory
-    shutil.move(str(frag_dir), str(wrapped / "documents.parquet"))
-    a = chunk_knn_topk(sf_dir).to_pylist()
-    b = chunk_knn_topk(str(wrapped)).to_pylist()
-    assert a == b
-
-
-def test_chunk_knn_matches_exact_reference(ray_session, sf_dir, con):
-    """Row-for-row equality with an exact in-process reference: every chunk
-    embedded with ``embed_batch``, each similarity the correctly rounded
-    ``math.fsum`` of the float64-widened products (a float32×float32
-    product is exact in float64), rounded to 6 decimals, top-k per query by
-    (sim DESC, doc_id, chunk_id). A float32 product rounds values near a
-    6-decimal boundary either way depending on the batch's row count and
-    the BLAS kernel, and misses this reference."""
-    import math
-
-    from safe_zone_ray.functions.embed import embed_batch
-    from safe_zone_ray.functions.search import (
-        CHUNK_KNN_K,
-        CHUNK_KNN_QUERIES,
-        chunk_knn_topk,
-    )
-    from safe_zone_ray.functions.textstats import doc_chunks_oracle_sql
-
-    chunks = con.sql(doc_chunks_oracle_sql()).arrow()
-    docs = con.sql(
-        "SELECT doc_id, text FROM documents WHERE doc_id IN "
-        f"({', '.join(map(str, CHUNK_KNN_QUERIES))})"
-    ).arrow()
-    M = embed_batch(chunks.column("chunk_text")).astype(np.float64).tolist()
-    Q = embed_batch(docs.column("text")).astype(np.float64).tolist()
-    doc_ids = chunks.column("doc_id").to_pylist()
-    chunk_ids = chunks.column("chunk_id").to_pylist()
-    want = []
-    for qd, q in sorted(zip(docs.column("doc_id").to_pylist(), Q)):
-        scored = sorted(
-            (-round(math.fsum(a * b for a, b in zip(m, q)), 6), d, c)
-            for d, c, m in zip(doc_ids, chunk_ids, M)
-            if d != qd
-        )
-        want.extend((qd, d, c, -s) for s, d, c in scored[:CHUNK_KNN_K])
-    got = [
-        (r["query_doc_id"], r["doc_id"], r["chunk_id"], r["cos_sim"])
-        for r in chunk_knn_topk(sf_dir).to_pylist()
-    ]
-    assert len(want) == len(CHUNK_KNN_QUERIES) * CHUNK_KNN_K
-    assert got == want

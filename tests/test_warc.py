@@ -14,6 +14,8 @@ from safe_zone_ray.sources.warc import (
     write_warc,
 )
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 RECORDS = [
     {
         "type": "response",
@@ -198,14 +200,14 @@ def test_warc_to_quality_filter_e2e(tmp_path):
         [sys.executable, "-m", "safe_zone_ray.cli", "convert",
          "--input", str(d), "--format", "warc",
          "--output", str(pages), "--num-cpus", "2"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert conv.returncode == 0, conv.stderr[-2000:]
     out = subprocess.run(
         [sys.executable, "-m", "safe_zone_ray.cli", "run",
          "--input", str(pages), "--output", str(tmp_path / "job"),
          "--num-cpus", "2"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300,
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     data = json.loads(out.stdout[out.stdout.index("{"):])
