@@ -75,7 +75,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         robots,
         similarity,
         textstats,
-        windows,
     )
     from safe_zone_ray.pipelines.quality_filter import per_host_stats
 
@@ -427,21 +426,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dup_weight_annotations": dedup.dup_weight_annotations,
         # rows-only (MinHash): fuzzy eval-set overlap via broadcast join
         "benchmark_fuzzy_contamination": dedup.benchmark_fuzzy_contamination,
-        "events_hourly": windows.events_hourly,
-        "events_sliding": windows.events_sliding,
-        "events_hourly_streaming": __import__(
-            "safe_zone_ray.streaming", fromlist=["stream_events_hourly"]
-        ).stream_events_hourly,
-        "events_sliding_streaming": __import__(
-            "safe_zone_ray.streaming", fromlist=["stream_events_sliding"]
-        ).stream_events_sliding,
-        "user_sessions": windows.user_sessions,
-        "user_sessions_streaming": __import__(
-            "safe_zone_ray.streaming", fromlist=["stream_user_sessions"]
-        ).stream_user_sessions,
-        "events_json_validity": windows.events_json_validity,
-        "purchases_asof_signup": windows.purchases_asof_signup,
-        "signup_week_events": windows.signup_week_events,
         "knn_bruteforce": similarity.knn_bruteforce,
         "top_bigrams": textstats.top_bigrams,
         "benchmark_contamination": textstats.benchmark_contamination,
@@ -499,11 +483,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "longest_docs_per_lang": textstats.longest_docs_per_lang,
         # per-source quota with explicit ROW_NUMBER rank (host-cap practice)
         "per_source_quota": textstats.per_source_quota,
-        # per-key analytic windows: ROW_NUMBER / running SUM (integer
-        # cents) / LAG gap, one output row per event
-        "user_event_analytics": windows.user_event_analytics,
-        # time-window SELF RANGE JOIN per user -> event-type pair counts
-        "events_cooccurrence": analytics.events_cooccurrence,
         # ROLLUP grouping sets in ONE exchange (per-batch 3-level partials)
         "source_lang_rollup": analytics.source_lang_rollup,
         # PIVOT/crosstab: per-source row, per-lang count columns
@@ -512,14 +491,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_token_deciles": analytics.doc_token_deciles,
         # windowed word co-occurrence + PMI (broadcast unigram resolution)
         "word_cooccurrence_pmi": analytics.word_cooccurrence_pmi,
-        # conversion funnel: ordered-step strict min-ts chaining per user
-        "event_funnel": analytics.event_funnel,
         # per-GROUP exact quantiles via the distinct-value counting histogram
         "doc_length_quantiles_by_lang": analytics.doc_length_quantiles_by_lang,
         # mergeable sufficient statistics: grouped Pearson r (exact int sums)
         "doc_len_token_correlation": analytics.doc_len_token_correlation,
-        # cohort retention matrix (signup-anchored weekly activity)
-        "cohort_retention": analytics.cohort_retention,
         # host link graph: corpus scan -> host-graph-sized weighted edges
         "host_link_edges": __import__(
             "safe_zone_ray.functions.graph", fromlist=["host_link_edges"]
@@ -528,21 +503,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_pagerank": __import__(
             "safe_zone_ray.functions.graph", fromlist=["host_pagerank"]
         ).host_pagerank,
-        # Markov transition matrix: bucket-vectorized ordered adjacency
-        "event_transitions": analytics.event_transitions,
         # distributed percent_rank window (histogram + broadcast CDF)
         "doc_length_percentile": analytics.doc_length_percentile,
-        # integer-exact hourly spike detection (squared-z comparison)
-        "events_hourly_spikes": analytics.events_hourly_spikes,
         # distributed table profiler: per-column rows/nulls/EXACT distinct/
         # min/max in two streaming passes (digest exchange for distinct)
         "documents_profile": __import__(
             "safe_zone_ray.functions.profile", fromlist=["documents_profile"]
         ).documents_profile,
-        # same profiler over events: timestamp[us] + double type breadth
-        "events_profile": __import__(
-            "safe_zone_ray.functions.profile", fromlist=["events_profile"]
-        ).events_profile,
         # Deequ-style declarative constraint verification (one pass +
         # key-only uniqueness groupby)
         "documents_constraint_report": __import__(
@@ -599,15 +566,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_communities": __import__(
             "safe_zone_ray.functions.graph", fromlist=["host_communities"]
         ).host_communities,
-        # rows-only: DDSketch-style log-binned quantiles — commutative
-        # bin-count merge, so the output is batching/parallelism-independent
-        # and golden-frozen; accuracy-pinned in tests
-        "approx_value_quantiles": __import__(
-            "safe_zone_ray.functions.sketch", fromlist=["approx_value_quantiles_dd"]
-        ).approx_value_quantiles_dd,
-        "value_quantiles_by_type": __import__(
-            "safe_zone_ray.functions.sketch", fromlist=["value_quantiles_by_type"]
-        ).value_quantiles_by_type,
         "guardrail_violations": q_guardrail_violations,
         "quality_filter_decisions": q_quality_filter_decisions,
         "quality_filter_rule_ablation": q_rule_ablation,
@@ -677,12 +635,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "snapshot_merge": __import__(
             "safe_zone_ray.functions.snapshot", fromlist=["snapshot_merge"]
         ).snapshot_merge,
-        # windowed exact COUNT DISTINCT (dedup-then-count, combiner-first),
-        # oracle-checked
-        "events_hourly_distinct_users": __import__(
-            "safe_zone_ray.functions.windows",
-            fromlist=["events_hourly_distinct_users"],
-        ).events_hourly_distinct_users,
         # incremental materialized-view maintenance (base pass + Δ only —
         # the snapshot is never scanned), oracle-checked against direct
         # aggregation of the rebuilt snapshot
@@ -702,11 +654,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "mixture_schedule": __import__(
             "safe_zone_ray.functions.mixture", fromlist=["mixture_schedule"]
         ).mixture_schedule,
-        # time-series densification (dense type×hour grid, zero-filled),
-        # oracle-checked against generate_series
-        "events_hourly_gapfill": __import__(
-            "safe_zone_ray.functions.windows", fromlist=["events_hourly_gapfill"]
-        ).events_hourly_gapfill,
         # distribution-drift monitor (per-language PSI base vs snapshot;
         # fused base+Δ pass, language-sized exchange), oracle-checked
         "snapshot_lang_drift": __import__(
@@ -891,8 +838,6 @@ def _query_order(built: dict) -> list[str]:
         "host_pagerank",
         "host_communities",
         "k_anonymity_report",
-        "cohort_retention",
-        "event_funnel",
         "quality_filter_rule_ablation",
         "quality_filter_rule_overlap",
         "pii_position_histogram",
@@ -907,11 +852,11 @@ def _query_order(built: dict) -> list[str]:
         "outlink_degree_stats",
         "host_cocitation_pairs",
         "robots_crawl_audit",
+        "sitemap_coverage",
+        "redirect_final_targets",
     ]
     assert len(window) == 50, len(window)
     tail = [
-        "sitemap_coverage",
-        "redirect_final_targets",
         "redirect_alias_groups",
         "bootstrap_mean_chars",
         "bootstrap_keep_rate",
@@ -948,9 +893,6 @@ def _query_order(built: dict) -> list[str]:
         "sequence_packing",
         "lang_stratified_sample",
         "global_shuffle_order",
-        "events_hourly_streaming",
-        "events_sliding_streaming",
-        "user_sessions_streaming",
         "knn_bruteforce",
         "benchmark_contamination",
         "doc_chunks",
@@ -963,12 +905,6 @@ def _query_order(built: dict) -> list[str]:
         "doc_fingerprints",
         "token_counts",
         "pii_flags_augmented",
-        "events_hourly",
-        "events_sliding",
-        "user_sessions",
-        "events_json_validity",
-        "purchases_asof_signup",
-        "signup_week_events",
         "top_bigrams",
         "dedup_lines_scrub",
         "doc_length_quantiles",
@@ -978,17 +914,12 @@ def _query_order(built: dict) -> list[str]:
         "long_docs",
         "longest_docs_per_lang",
         "per_source_quota",
-        "user_event_analytics",
-        "events_cooccurrence",
         "source_lang_rollup",
         "lang_count_matrix",
         "doc_length_quantiles_by_lang",
         "doc_len_token_correlation",
         "host_link_edges",
-        "event_transitions",
         "host_suffix_blocklist",
-        "events_hourly_spikes",
-        "events_profile",
         "length_setops_en_de",
         "embedding_norm_stats",
         "embedding_dim_sums",
@@ -996,10 +927,8 @@ def _query_order(built: dict) -> list[str]:
         "host_triangles",
         "host_skew_report",
         "source_vocab_overlap",
-        "events_hourly_distinct_users",
         "host_bfs_depth",
         "pii_type_cooccurrence",
-        "events_hourly_gapfill",
         "fim_transform",
         "calibration_bins",
         "url_path_templates",
@@ -1007,8 +936,6 @@ def _query_order(built: dict) -> list[str]:
         "benchmark_fuzzy_contamination",
         "documents_profile_approx",
         "compression_ratio_stats",
-        "approx_value_quantiles",
-        "value_quantiles_by_type",
         "approx_distinct_tokens",
         "minhash_dedup_pairs",
         "dedup_clusters",
@@ -1117,38 +1044,29 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     from safe_zone_ray.functions.textstats import per_source_quota_oracle_sql
 
     flagship["per_source_quota"] = per_source_quota_oracle_sql()
-    from safe_zone_ray.functions.windows import user_event_analytics_oracle_sql
-
-    flagship["user_event_analytics"] = user_event_analytics_oracle_sql()
     from safe_zone_ray.functions import analytics as _analytics
 
-    flagship["events_cooccurrence"] = _analytics.events_cooccurrence_oracle_sql()
     flagship["source_lang_rollup"] = _analytics.source_lang_rollup_oracle_sql()
     flagship["lang_count_matrix"] = _analytics.lang_count_matrix_oracle_sql()
     flagship["doc_token_deciles"] = _analytics.doc_token_deciles_oracle_sql()
     flagship["word_cooccurrence_pmi"] = _analytics.word_cooccurrence_pmi_oracle_sql()
-    flagship["event_funnel"] = _analytics.event_funnel_oracle_sql()
     flagship["doc_length_quantiles_by_lang"] = (
         _analytics.doc_length_quantiles_by_lang_oracle_sql()
     )
     flagship["doc_len_token_correlation"] = (
         _analytics.doc_len_token_correlation_oracle_sql()
     )
-    flagship["cohort_retention"] = _analytics.cohort_retention_oracle_sql()
     from safe_zone_ray.functions import graph as _graph
 
     flagship["host_link_edges"] = _graph.host_link_edges_oracle_sql()
     flagship["host_pagerank"] = _graph.host_pagerank_oracle_sql()
     from safe_zone_ray.functions import textstats as _textstats
 
-    flagship["event_transitions"] = _analytics.event_transitions_oracle_sql()
     flagship["doc_length_percentile"] = _analytics.doc_length_percentile_oracle_sql()
-    flagship["events_hourly_spikes"] = _analytics.events_hourly_spikes_oracle_sql()
     _profile = __import__(
         "safe_zone_ray.functions.profile", fromlist=["documents_profile_oracle_sql"]
     )
     flagship["documents_profile"] = _profile.documents_profile_oracle_sql()
-    flagship["events_profile"] = _profile.events_profile_oracle_sql()
     _substring = __import__(
         "safe_zone_ray.functions.substring",
         fromlist=["exact_substring_dup_stats_oracle_sql"],
@@ -1163,13 +1081,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     flagship["snapshot_merge"] = __import__(
         "safe_zone_ray.functions.snapshot", fromlist=["snapshot_merge_oracle_sql"]
     ).snapshot_merge_oracle_sql()
-    from safe_zone_ray.functions.windows import (
-        events_hourly_distinct_users_oracle_sql,
-    )
-
-    flagship["events_hourly_distinct_users"] = (
-        events_hourly_distinct_users_oracle_sql()
-    )
     flagship["incremental_lang_stats"] = __import__(
         "safe_zone_ray.functions.snapshot",
         fromlist=["incremental_lang_stats_oracle_sql"],
@@ -1180,9 +1091,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     flagship["mixture_schedule"] = __import__(
         "safe_zone_ray.functions.mixture", fromlist=["mixture_schedule_oracle_sql"]
     ).mixture_schedule_oracle_sql()
-    from safe_zone_ray.functions.windows import events_hourly_gapfill_oracle_sql
-
-    flagship["events_hourly_gapfill"] = events_hourly_gapfill_oracle_sql()
     flagship["snapshot_lang_drift"] = __import__(
         "safe_zone_ray.functions.drift", fromlist=["snapshot_lang_drift_oracle_sql"]
     ).snapshot_lang_drift_oracle_sql()
@@ -1429,86 +1337,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "dup_weight_annotations": __import__(
             "safe_zone_ray.functions.dedup", fromlist=["dup_weight_annotations_oracle_sql"]
         ).dup_weight_annotations_oracle_sql(),
-        "events_hourly": """
-            SELECT date_trunc('hour', ts) AS window_start,
-                   event_type,
-                   count(*) AS n_events,
-                   round(sum(value), 4) AS sum_value
-            FROM events GROUP BY 1, 2
-        """,
-        # hopping 1h/30min windows: the fan-out must happen combiner-side
-        "events_sliding": __import__(
-            "safe_zone_ray.functions.windows", fromlist=["events_sliding_oracle_sql"]
-        ).events_sliding_oracle_sql(),
-        # range join: first-signup -> 7-day activity window per user
-        "signup_week_events": __import__(
-            "safe_zone_ray.functions.windows", fromlist=["signup_week_events_oracle_sql"]
-        ).signup_week_events_oracle_sql(),
-        # the streaming hopping-window operator must converge exactly to the
-        # batch hopping aggregate when lateness covers the disorder
-        "events_sliding_streaming": __import__(
-            "safe_zone_ray.functions.windows", fromlist=["events_sliding_oracle_sql"]
-        ).events_sliding_oracle_sql(),
-        # the streaming watermark operator must converge to the exact batch
-        # result when allowed lateness covers the stream's disorder
-        "events_hourly_streaming": """
-            SELECT date_trunc('hour', ts) AS window_start,
-                   event_type,
-                   count(*) AS n_events,
-                   round(sum(value), 4) AS sum_value
-            FROM events GROUP BY 1, 2
-        """,
-        "user_sessions_streaming": """
-            WITH e AS (
-              SELECT user_id, ts, value,
-                     lag(ts) OVER (PARTITION BY user_id ORDER BY ts) AS prev
-              FROM events),
-            s AS (
-              SELECT *, CASE WHEN prev IS NULL OR ts - prev > INTERVAL 30 MINUTE
-                             THEN 1 ELSE 0 END AS is_new
-              FROM e),
-            g AS (
-              SELECT *, sum(is_new) OVER (PARTITION BY user_id ORDER BY ts
-                                          ROWS UNBOUNDED PRECEDING) AS sess
-              FROM s)
-            SELECT user_id,
-                   min(ts) AS session_start,
-                   count(*) AS n_events,
-                   round(sum(value), 4) AS sum_value
-            FROM g GROUP BY user_id, sess
-        """,
-        "user_sessions": """
-            WITH e AS (
-              SELECT user_id, ts, value,
-                     lag(ts) OVER (PARTITION BY user_id ORDER BY ts) AS prev
-              FROM events),
-            s AS (
-              SELECT *, CASE WHEN prev IS NULL OR ts - prev > INTERVAL 30 MINUTE
-                             THEN 1 ELSE 0 END AS is_new
-              FROM e),
-            g AS (
-              SELECT *, sum(is_new) OVER (PARTITION BY user_id ORDER BY ts
-                                          ROWS UNBOUNDED PRECEDING) AS sess
-              FROM s)
-            SELECT user_id,
-                   min(ts) AS session_start,
-                   count(*) AS n_events,
-                   round(sum(value), 4) AS sum_value
-            FROM g GROUP BY user_id, sess
-        """,
-        "events_json_validity": """
-            SELECT json_valid(props) AS props_valid, count(*) AS n
-            FROM events GROUP BY 1
-        """,
-        "purchases_asof_signup": """
-            SELECT user_id, event_id, purchase_ts, signup_ts FROM (
-              SELECT user_id, event_id, ts AS purchase_ts, event_type,
-                     max(CASE WHEN event_type = 'signup' THEN ts END) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS signup_ts
-              FROM events) s
-            WHERE event_type = 'purchase'
-        """,
         "top_sources": """
             SELECT source, count(*) AS n_docs FROM documents
             GROUP BY source ORDER BY n_docs DESC, source LIMIT 5

@@ -137,7 +137,7 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         print(last_ds.stats(), file=sys.stderr)
 
     if not headline_only:
-        from safe_zone_ray.functions import dedup, similarity, textstats, windows
+        from safe_zone_ray.functions import dedup, similarity, textstats
 
         def timed(name, fn):
             t = time.perf_counter()
@@ -151,8 +151,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         timed("exact_dedup", dedup.exact_dedup)
         timed("minhash_dedup_pairs", dedup.minhash_dedup_pairs)
         timed("simhash_pairs", dedup.simhash_pairs)
-        timed("events_hourly", windows.events_hourly)
-        timed("user_sessions", windows.user_sessions)
         timed("knn_bruteforce", similarity.knn_bruteforce)
         timed("ann_lsh_topk", similarity.ann_lsh_topk)
         # round-3 additions: the vectorized winnowing kernel (judge item 1)
@@ -162,9 +160,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         # round-3 new operator families
         timed("duplicate_passages", dedup.duplicate_passages)
         timed("sequence_packing", textstats.sequence_packing)
-        timed("user_sessions_streaming", __import__(
-            "safe_zone_ray.streaming", fromlist=["stream_user_sessions"]
-        ).stream_user_sessions)
         # retrieval + data-selection additions
         search = __import__("safe_zone_ray.functions.search", fromlist=["bm25_topk"])
         timed("bm25_topk", search.bm25_topk)
@@ -188,7 +183,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         )
         timed("word_cooccurrence_pmi", analytics.word_cooccurrence_pmi)
         timed("doc_token_deciles", analytics.doc_token_deciles)
-        timed("signup_week_events", windows.signup_week_events)
         # round-4 continuation: table profiling (two streaming passes)
         prof = __import__(
             "safe_zone_ray.functions.profile", fromlist=["documents_profile"]

@@ -1,3 +1,3 @@
 """Corpus operations beyond the reference's per-request surface: dedup
-families, similarity search, text analysis, windowed aggregates — the
-operations a large-scale training-data pipeline needs (driver brief)."""
+families, similarity search, text analysis — the operations a large-scale
+training-data pipeline needs."""

@@ -1,7 +1,7 @@
 """Relational-analytics operators the round-3 surface still lacked: a
-time-window SELF RANGE JOIN, a one-exchange ROLLUP (grouping sets), a PIVOT
-matrix, global NTILE order statistics without a full sort, and a windowed
-word co-occurrence / PMI table (the word2vec-style matrix build).
+one-exchange ROLLUP (grouping sets), a PIVOT matrix, global NTILE order
+statistics without a full sort, and a windowed word co-occurrence / PMI table
+(the word2vec-style matrix build).
 
 Each operator is combiner-first and oracle-mirrored (DuckDB SQL twins in
 ``__ray_entry__.oracle_sql``); hot paths are Arrow/numpy-vectorized with the
@@ -9,7 +9,7 @@ same RE2 kernels the oracles use. Reference parity: the reference engine has
 no analytics of this class (its only aggregation is the per-request
 breakdown, `/root/reference/internal/detector/engine.go`); these extend the
 beyond-reference LLM-corpus toolkit in the same house style as
-``functions/windows.py`` and ``functions/textstats.py``.
+``functions/textstats.py``.
 """
 
 from __future__ import annotations
@@ -22,133 +22,7 @@ import ray.data
 from safe_zone_ray.functions.textstats import histogram_quantiles, read_documents
 
 # --------------------------------------------------------------------------
-# 1. Per-user time-window self range join → event-type co-occurrence counts
-# --------------------------------------------------------------------------
-
-COOC_WINDOW_S = 300  # pairs within 5 minutes, shared with the SQL oracle
-COOC_EPOCH_S = 3600  # interval-tiling width; must be >= COOC_WINDOW_S
-
-
-def events_cooccurrence(sf_dir: str, window_s: int = COOC_WINDOW_S) -> ray.data.Dataset:
-    """RANGE JOIN: for every ordered pair of events by the SAME user where
-    the later event falls within ``window_s`` seconds of the earlier one,
-    count occurrences per (earlier type, later type).
-
-    "Earlier/later" is the total order (ts, event_id) — equal-timestamp
-    pairs count once, in event_id order, so the result is deterministic and
-    engine-independent.
-
-    Shape: the canonical DISTRIBUTED range self-join via INTERVAL TILING —
-    grouping by user_id alone would put a hot user's (bot's) entire history
-    in one group, so the key is ``(user_id, epoch = ts // EPOCH)`` with
-    ``EPOCH >= window``: every event within ``window`` AFTER an epoch
-    boundary is replicated DOWN into the previous epoch as a GHOST (later-
-    event side only), and a pair is counted only where its EARLIER event is
-    home (non-ghost). Each window-reachable pair lives in exactly one
-    epoch's group (W <= EPOCH means a pair straddles at most one boundary),
-    so the output is identical to the single-group formulation while group
-    sizes stay bounded by events-per-epoch. Exchange cost: <= (1 + W/EPOCH)×
-    rows of (key, ts, event_id, type) — no payloads, no global sort. Inside
-    each group a vectorized two-pointer scan (``np.searchsorted(ts, ts +
-    W)``) expands pairs with a repeat/arange, and only (type_a, type_b,
-    partial count) rows — at most |types|² per group — enter the tiny
-    second exchange.
-    """
-    w_us = int(window_s) * 1_000_000
-    epoch_us = int(COOC_EPOCH_S) * 1_000_000
-    if w_us > epoch_us:
-        raise ValueError("window_s must be <= COOC_EPOCH_S for exact tiling")
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id", "event_type"]
-    )
-
-    def tile(batch: pa.Table) -> pa.Table:
-        ts = pc.cast(batch.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        eid = batch.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        typ = batch.column("event_type").to_numpy(zero_copy_only=False)
-        epoch = ts // epoch_us
-        # ghost copies: events < W past a boundary also serve the previous
-        # epoch as later-event candidates
-        g = (ts - epoch * epoch_us) < w_us
-        ts2 = np.concatenate([ts, ts[g]])
-        uid2 = np.concatenate([uid, uid[g]])
-        eid2 = np.concatenate([eid, eid[g]])
-        typ2 = np.concatenate([typ, typ[g]])
-        ep2 = np.concatenate([epoch, epoch[g] - 1])
-        home = np.concatenate([np.ones(len(ts), bool), np.zeros(int(g.sum()), bool)])
-        return pa.Table.from_arrays(
-            [
-                pa.array(uid2 * (1 << 20) + (ep2 & ((1 << 20) - 1))),  # fused key
-                pa.array(ts2),
-                pa.array(eid2),
-                pa.array(typ2),
-                pa.array(home),
-            ],
-            names=["tile_key", "ts_us", "event_id", "event_type", "is_home"],
-        )
-
-    _empty = pa.Table.from_arrays(
-        [pa.array([], pa.string()), pa.array([], pa.string()), pa.array([], pa.int64())],
-        names=["type_a", "type_b", "pair_count"],
-    )
-
-    def pairs(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n < 2 or "ts_us" not in group.column_names:
-            return _empty
-        ts = group.column("ts_us").to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").to_numpy(zero_copy_only=False)
-        typ = group.column("event_type").to_numpy(zero_copy_only=False)
-        home = group.column("is_home").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        ts, typ, home = ts[order], typ[order], home[order]
-        # hi[i] = first index beyond i's window; pairs are (i, i+1 .. hi[i]-1)
-        hi = np.searchsorted(ts, ts + w_us, side="right")
-        cnt = np.maximum(hi - np.arange(1, n + 1), 0)
-        cnt[~home] = 0  # a ghost may only be the LATER side of a pair
-        total = int(cnt.sum())
-        if total == 0:
-            return _empty
-        csum = np.concatenate([[0], np.cumsum(cnt)])
-        i_idx = np.repeat(np.arange(n), cnt)
-        j_idx = np.arange(total) - csum[i_idx] + i_idx + 1
-        codes_u, codes = np.unique(typ, return_inverse=True)
-        k = len(codes_u)
-        combined = codes[i_idx] * k + codes[j_idx]
-        uniq, c = np.unique(combined, return_counts=True)
-        return pa.Table.from_arrays(
-            [
-                pa.array(codes_u[uniq // k]),
-                pa.array(codes_u[uniq % k]),
-                pa.array(c.astype(np.int64)),
-            ],
-            names=["type_a", "type_b", "pair_count"],
-        )
-
-    partial = (
-        ds.map_batches(tile, batch_format="pyarrow")
-        .groupby("tile_key")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
-    summed = partial.groupby(["type_a", "type_b"]).sum("pair_count")
-    return summed.rename_columns({"sum(pair_count)": "pair_count"})
-
-
-def events_cooccurrence_oracle_sql(window_s: int = COOC_WINDOW_S) -> str:
-    return f"""
-        SELECT e1.event_type AS type_a, e2.event_type AS type_b,
-               CAST(count(*) AS BIGINT) AS pair_count
-        FROM events e1 JOIN events e2
-          ON e2.user_id = e1.user_id
-         AND (e2.ts > e1.ts OR (e2.ts = e1.ts AND e2.event_id > e1.event_id))
-         AND e2.ts <= e1.ts + INTERVAL {int(window_s)} seconds
-        GROUP BY 1, 2
-    """
-
-
-# --------------------------------------------------------------------------
-# 2. ROLLUP (grouping sets) in ONE exchange
+# 1. ROLLUP (grouping sets) in ONE exchange
 # --------------------------------------------------------------------------
 
 ROLLUP_ALL = "ALL"  # grouping-set sentinel, shared with the SQL oracle
@@ -260,7 +134,7 @@ def source_lang_cube_oracle_sql() -> str:
 
 
 # --------------------------------------------------------------------------
-# 3. PIVOT: per-source row, one count column per language
+# 2. PIVOT: per-source row, one count column per language
 # --------------------------------------------------------------------------
 
 PIVOT_LANGS = ("de", "en", "es", "fr", "zh")  # contract, shared with the oracle
@@ -305,7 +179,7 @@ def lang_count_matrix_oracle_sql() -> str:
 
 
 # --------------------------------------------------------------------------
-# 4. Global NTILE / row_number without a full sort
+# 3. Global NTILE / row_number without a full sort
 # --------------------------------------------------------------------------
 
 NTILE_K = 10
@@ -386,7 +260,7 @@ def doc_token_deciles_oracle_sql(k: int = NTILE_K) -> str:
 
 
 # --------------------------------------------------------------------------
-# 5. Windowed word co-occurrence + PMI (the word2vec-style matrix build)
+# 4. Windowed word co-occurrence + PMI (the word2vec-style matrix build)
 # --------------------------------------------------------------------------
 
 PMI_WINDOW = 2  # pair (w_i, w_{i+d}) for d in 1..WINDOW, shared with the oracle
@@ -576,95 +450,7 @@ def word_cooccurrence_pmi_oracle_sql() -> str:
     """
 
 # --------------------------------------------------------------------------
-# 6. Conversion funnel: ordered-step min-timestamp chaining per user
-# --------------------------------------------------------------------------
-
-FUNNEL_STEPS = ("signup", "view", "purchase")  # shared with the SQL oracle
-
-
-def event_funnel(sf_dir: str) -> pa.Table:
-    """Product-analytics FUNNEL: how many users complete each prefix of the
-    ordered step list — step k's timestamp must be STRICTLY after step
-    k-1's first completion (first signup → first view after it → first
-    purchase after that).
-
-    Shape: one user_id exchange (the same per-user partition every window
-    operator here reuses), a vectorized min-chain per group emitting ONE
-    depth row per user, then a bounded depth histogram → cumulative counts
-    driver-side (≤ |steps| rows). At 10^12 events the exchange carries
-    (user_id, ts, event_type) and per-user output is a single int.
-    """
-    import ray
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
-
-    _empty = pa.Table.from_arrays([pa.array([], pa.int64())], names=["depth"])
-
-    def depth(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "ts" not in group.column_names:
-            return _empty
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        typ = group.column("event_type").to_numpy(zero_copy_only=False)
-        prev = -(1 << 62)
-        d = 0
-        for step in FUNNEL_STEPS:
-            mask = (typ == step) & (ts > prev)
-            if not mask.any():
-                break
-            prev = int(ts[mask].min())
-            d += 1
-        return pa.Table.from_arrays([pa.array([d], pa.int64())], names=["depth"])
-
-    hist = {
-        int(r["depth"]): int(r["count()"])
-        for r in ds.groupby("user_id").map_groups(depth, batch_format="pyarrow")
-        .groupby("depth")
-        .count()
-        .take_all()
-    }  # bounded: at most len(FUNNEL_STEPS)+1 rows
-    n_users = [
-        sum(c for dd, c in hist.items() if dd >= k) for k in range(1, len(FUNNEL_STEPS) + 1)
-    ]
-    return pa.Table.from_arrays(
-        [
-            pa.array(range(1, len(FUNNEL_STEPS) + 1), pa.int64()),
-            pa.array(list(FUNNEL_STEPS)),
-            pa.array(n_users, pa.int64()),
-        ],
-        names=["step", "step_name", "n_users"],
-    )
-
-
-def event_funnel_oracle_sql() -> str:
-    s1, s2, s3 = FUNNEL_STEPS
-    return f"""
-        WITH f1 AS (
-          SELECT user_id, min(ts) AS t FROM events
-          WHERE event_type = '{s1}' GROUP BY user_id
-        ),
-        f2 AS (
-          SELECT f1.user_id, min(e.ts) AS t FROM f1 JOIN events e
-            ON e.user_id = f1.user_id AND e.event_type = '{s2}' AND e.ts > f1.t
-          GROUP BY f1.user_id
-        ),
-        f3 AS (
-          SELECT f2.user_id, min(e.ts) AS t FROM f2 JOIN events e
-            ON e.user_id = f2.user_id AND e.event_type = '{s3}' AND e.ts > f2.t
-          GROUP BY f2.user_id
-        )
-        SELECT CAST(1 AS BIGINT) AS step, '{s1}' AS step_name,
-               CAST((SELECT count(*) FROM f1) AS BIGINT) AS n_users
-        UNION ALL
-        SELECT 2, '{s2}', (SELECT count(*) FROM f2)
-        UNION ALL
-        SELECT 3, '{s3}', (SELECT count(*) FROM f3)
-    """
-
-
-# --------------------------------------------------------------------------
-# 7. Grouped exact quantiles via the distinct-value counting histogram
+# 5. Grouped exact quantiles via the distinct-value counting histogram
 # --------------------------------------------------------------------------
 
 GROUPED_QS = (0.5, 0.9, 0.99)
@@ -734,7 +520,7 @@ def doc_length_quantiles_by_lang_oracle_sql(qs: tuple[float, ...] = GROUPED_QS) 
     """
 
 # --------------------------------------------------------------------------
-# 8. Mergeable sufficient statistics: grouped Pearson correlation
+# 6. Mergeable sufficient statistics: grouped Pearson correlation
 # --------------------------------------------------------------------------
 
 
@@ -847,191 +633,7 @@ def doc_len_token_correlation_oracle_sql() -> str:
     """
 
 # --------------------------------------------------------------------------
-# 9. Cohort retention: signup-week cohorts × weekly-activity offsets
-# --------------------------------------------------------------------------
-
-RETENTION_MAX_WEEKS = 8  # offsets 0..MAX-1, shared with the SQL oracle
-
-
-def cohort_retention(sf_dir: str) -> ray.data.Dataset:
-    """COHORT RETENTION matrix: users grouped by the week of their FIRST
-    signup event; cell (cohort_week, week_offset) counts the cohort's users
-    with ANY event in week ``offset`` after signup (offset 0 = signup week,
-    weeks are 7-day windows anchored at each user's own signup instant —
-    the per-user-anchored definition, not calendar weeks).
-
-    Shape: the per-user exchange every window operator shares; each group
-    reduces to DISTINCT (cohort_week, offset) rows for one user (≤ MAX
-    rows), then one tiny groupby counts users per cell. Epoch-week of the
-    cohort is an integer (``floor(signup_us / week_us)``) so the output is
-    engine-exact with no timestamp formatting.
-    """
-    import ray
-
-    week_us = 7 * 24 * 3600 * 1_000_000
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
-
-    _empty = pa.Table.from_arrays(
-        [pa.array([], pa.int64()), pa.array([], pa.int64())],
-        names=["cohort_week", "week_offset"],
-    )
-
-    def user_cells(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "ts" not in group.column_names:
-            return _empty
-        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        typ = group.column("event_type").to_numpy(zero_copy_only=False)
-        s = ts[typ == "signup"]
-        if len(s) == 0:
-            return _empty
-        signup = int(s.min())
-        # explicit ts >= signup (not just off >= 0): DuckDB's integer //
-        # TRUNCATES toward zero, so a pre-signup event inside one week
-        # would floor to -1 here but truncate to 0 there — both engines
-        # share the explicit predicate instead
-        ts = ts[ts >= signup]
-        off = (ts - signup) // week_us
-        off = np.unique(off[off < RETENTION_MAX_WEEKS])
-        return pa.Table.from_arrays(
-            [
-                pa.array(np.full(len(off), signup // week_us, dtype=np.int64)),
-                pa.array(off.astype(np.int64)),
-            ],
-            names=["cohort_week", "week_offset"],
-        )
-
-    cells = ds.groupby("user_id").map_groups(user_cells, batch_format="pyarrow")
-    return (
-        cells.groupby(["cohort_week", "week_offset"])
-        .count()
-        .rename_columns({"count()": "n_users"})
-    )
-
-
-def cohort_retention_oracle_sql() -> str:
-    week_us = 7 * 24 * 3600 * 1_000_000
-    return f"""
-        WITH s AS (
-          SELECT user_id, min(epoch_us(ts)) AS signup_us
-          FROM events WHERE event_type = 'signup' GROUP BY user_id
-        ),
-        cells AS (
-          SELECT DISTINCT s.user_id,
-                 s.signup_us // {week_us} AS cohort_week,
-                 (epoch_us(e.ts) - s.signup_us) // {week_us} AS week_offset
-          FROM s JOIN events e ON e.user_id = s.user_id
-          WHERE epoch_us(e.ts) >= s.signup_us
-            AND (epoch_us(e.ts) - s.signup_us) // {week_us} < {RETENTION_MAX_WEEKS}
-        )
-        SELECT CAST(cohort_week AS BIGINT) AS cohort_week,
-               CAST(week_offset AS BIGINT) AS week_offset,
-               CAST(count(*) AS BIGINT) AS n_users
-        FROM cells GROUP BY 1, 2
-    """
-
-
-# --------------------------------------------------------------------------
-# Markov transition counts: consecutive-event (from_type -> to_type) pairs
-# --------------------------------------------------------------------------
-
-N_TRANSITION_BUCKETS = 64
-
-
-def event_transitions(sf_dir: str) -> ray.data.Dataset:
-    """Count user-journey TRANSITIONS: for each user's events in the total
-    order (ts, event_id), every consecutive pair contributes one
-    (from_type, to_type) — the Markov transition matrix of the event log
-    (order-SENSITIVE, unlike ``events_cooccurrence``'s windowed pairs).
-
-    Shape: adjacency needs each user's full ordered timeline in one place
-    (a successor may be arbitrarily far in time, so interval tiling cannot
-    bound it), but one ``map_groups`` call PER USER would be the tiny-group
-    anti-pattern. Instead users hash into ``N_TRANSITION_BUCKETS`` groups;
-    inside a bucket ONE vectorized lexsort over (user_id, ts, event_id)
-    segments every user at once and a shifted equality mask picks the
-    within-user adjacent pairs — 64 kernel invocations total, no Python
-    row loops. The exchange carries (bucket, user_id, ts, event_id, type)
-    only; at web scale size the bucket count to events/target-group-size.
-    Only |types|² partial rows per bucket enter the final exchange.
-    """
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(uid % N_TRANSITION_BUCKETS),
-                "user_id": batch.column("user_id"),
-                "ts": batch.column("ts"),
-                "event_id": batch.column("event_id"),
-                "event_type": batch.column("event_type"),
-            }
-        )
-
-    def transitions(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "from_type": pa.array([], pa.string()),
-                "to_type": pa.array([], pa.string()),
-                "cnt": pa.array([], pa.int64()),
-            }
-        )
-        if "user_id" not in group.column_names or group.num_rows < 2:
-            return empty
-        uid = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = group.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        eid = group.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        typ = group.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts.astype(np.int64), uid))
-        uid, typ = uid[order], typ[order]
-        adj = uid[:-1] == uid[1:]
-        if not adj.any():
-            return empty
-        frm, to = typ[:-1][adj], typ[1:][adj]
-        key = np.char.add(np.char.add(frm.astype(str), "\x00"), to.astype(str))
-        _, first, cnt = np.unique(key, return_index=True, return_counts=True)
-        return pa.table(
-            {
-                "from_type": pa.array(frm[first]),
-                "to_type": pa.array(to[first]),
-                "cnt": pa.array(cnt.astype(np.int64)),
-            }
-        )
-
-    ds = (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "ts", "user_id", "event_type"],
-        )
-        .map_batches(keyed, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(transitions, batch_format="pyarrow")
-        .groupby(["from_type", "to_type"])
-        .sum("cnt")
-    )
-    return ds.map_batches(
-        lambda t: t.rename_columns(["from_type", "to_type", "n_transitions"]),
-        batch_format="pyarrow",
-    )
-
-
-def event_transitions_oracle_sql() -> str:
-    return """
-        WITH o AS (
-          SELECT event_type,
-                 lead(event_type) OVER (
-                   PARTITION BY user_id ORDER BY ts, event_id) AS next_type
-          FROM events
-        )
-        SELECT event_type AS from_type, next_type AS to_type,
-               CAST(count(*) AS BIGINT) AS n_transitions
-        FROM o WHERE next_type IS NOT NULL
-        GROUP BY event_type, next_type
-    """
-
-# --------------------------------------------------------------------------
-# 9. Per-language percentile rank (distributed window function, no sort)
+# 7. Per-language percentile rank (distributed window function, no sort)
 # --------------------------------------------------------------------------
 
 
@@ -1122,104 +724,4 @@ def doc_length_percentile_oracle_sql() -> str:
                CAST(floor(percent_rank() OVER (PARTITION BY lang ORDER BY n_chars)
                           * 1000000 + 0.5) AS BIGINT) AS pct_micro
         FROM documents
-    """
-
-
-# --------------------------------------------------------------------------
-# 10. Hourly spike detection (integer-exact z-score over the hourly series)
-# --------------------------------------------------------------------------
-
-SPIKE_Z = 2  # integer z threshold shared with the SQL twin
-
-
-def events_hourly_spikes(sf_dir: str, z: int = SPIKE_Z) -> ray.data.Dataset:
-    """Anomalous hours per event_type: hours whose event count exceeds the
-    type's mean hourly count by more than ``z`` population standard
-    deviations — the alert rule a telemetry pipeline runs over its ingest
-    series.
-
-    Exactness: the z comparison is evaluated ENTIRELY in integers by
-    squaring —  c - s/n > z*sqrt((n*ss - s^2)/n^2)  is equivalent (for a
-    positive left side) to  (n*c - s)^2 > z^2 * (n*ss - s^2)  — so the
-    flagged set is bit-identical to the SQL twin with no float epsilon.
-    The per-type stats table is tiny (one row per event_type); the squares
-    are computed in Python big-ints (the hourly table is bounded by
-    types x hours, nowhere near corpus-sized) so n*c overflow is impossible
-    at any scale.
-
-    Shape: one combiner-first exchange builds the (type, hour) count table
-    (bounded by types x hours, NOT corpus-sized); the driver folds it into
-    per-type (n, sum, sumsq) — a bounded pull, like the per-range counts in
-    ``doc_token_deciles`` — and the broadcast stats flag hours in one pass
-    over the same bounded table. Zero-count hours are not in the series
-    (no dense grid) — same convention in both engines.
-    """
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        win = pc.floor_temporal(batch.column("ts"), unit="hour")
-        t = pa.Table.from_arrays(
-            [batch.column("event_type"), win,
-             pa.array(np.ones(batch.num_rows, dtype=np.int64))],
-            names=["event_type", "window_start", "one"],
-        )
-        return (
-            t.group_by(["event_type", "window_start"])
-            .aggregate([("one", "sum")])
-            .rename_columns(["event_type", "window_start", "n_events"])
-        )
-
-    hourly = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "window_start"])
-        .sum("n_events")
-        .map_batches(
-            lambda t: t.rename_columns(["event_type", "window_start", "n_events"]),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-
-    stats: dict[str, tuple[int, int, int]] = {}
-    for row in hourly.take_all():
-        n_ev = int(row["n_events"])
-        cur = stats.get(row["event_type"], (0, 0, 0))
-        stats[row["event_type"]] = (cur[0] + 1, cur[1] + n_ev, cur[2] + n_ev * n_ev)
-    stats_ref = ray.put(stats)
-    z2 = int(z) * int(z)
-
-    def flag(batch: pa.Table) -> pa.Table:
-        st = ray.get(stats_ref)
-        types = batch.column("event_type").to_pylist()
-        counts = batch.column("n_events").to_pylist()
-        keep = []
-        for i, (typ, c) in enumerate(zip(types, counts)):
-            n, s, ss = st[typ]
-            lhs = n * int(c) - s
-            if lhs > 0 and lhs * lhs > z2 * (n * ss - s * s):
-                keep.append(i)
-        return batch.take(pa.array(keep, pa.int64()))
-
-    return hourly.map_batches(flag, batch_format="pyarrow")
-
-
-def events_hourly_spikes_oracle_sql(z: int = SPIKE_Z) -> str:
-    return f"""
-        WITH hourly AS (
-          SELECT event_type, date_trunc('hour', ts) AS window_start,
-                 CAST(count(*) AS BIGINT) AS n_events
-          FROM events GROUP BY 1, 2
-        ), stats AS (
-          SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-                 CAST(sum(n_events) AS BIGINT) AS s,
-                 CAST(sum(n_events * n_events) AS BIGINT) AS ss
-          FROM hourly GROUP BY 1
-        )
-        SELECT h.event_type, h.window_start, h.n_events
-        FROM hourly h JOIN stats t USING (event_type)
-        WHERE (t.n * h.n_events - t.s) > 0
-          AND (t.n * h.n_events - t.s) * (t.n * h.n_events - t.s)
-              > {int(z) * int(z)} * (t.n * t.ss - t.s * t.s)
     """

@@ -43,7 +43,6 @@ import ray.data
 from safe_zone_ray.functions.hashing import md5_hex_batch
 
 DOCUMENTS_COLUMNS = ["doc_id", "text", "lang", "source", "n_chars"]
-EVENTS_COLUMNS = ["event_id", "ts", "user_id", "event_type", "value", "props"]
 
 
 def _canonical_strings(arr: pa.Array) -> pa.Array:
@@ -211,13 +210,6 @@ def documents_profile(sf_dir: str) -> pa.Table:
     return table_profile(f"{sf_dir}/documents.parquet", DOCUMENTS_COLUMNS)
 
 
-def events_profile(sf_dir: str) -> pa.Table:
-    """Exercises the non-string type breadth: timestamp[us] and double
-    min/max/distinct alongside ints and strings (incl. the JSON `props`
-    column profiled as an opaque string)."""
-    return table_profile(f"{sf_dir}/events.parquet", EVENTS_COLUMNS)
-
-
 def profile_oracle_sql(table: str, columns: list[str]) -> str:
     parts = []
     for name in columns:
@@ -234,10 +226,6 @@ def profile_oracle_sql(table: str, columns: list[str]) -> str:
 
 def documents_profile_oracle_sql() -> str:
     return profile_oracle_sql("documents", DOCUMENTS_COLUMNS)
-
-
-def events_profile_oracle_sql() -> str:
-    return profile_oracle_sql("events", EVENTS_COLUMNS)
 
 
 # ---------------------------------------------------------------------------

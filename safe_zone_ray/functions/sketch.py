@@ -302,294 +302,3 @@ def frequent_tokens_oracle_sql(phi_denom: int = HH_PHI_DENOM) -> str:
         GROUP BY token
         HAVING count(*) > (SELECT count(*) FROM tok) // {phi_denom}
     """
-
-
-# ---------------------------------------------------------------------------
-# Deterministic mergeable quantile sketch (KLL-style compactor chain)
-# ---------------------------------------------------------------------------
-
-QS_K = 512  # per-level buffer capacity
-QS_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
-
-
-class QuantileSketch:
-    """Mergeable quantile sketch: a chain of capacity-``k`` buffers where
-    level ``l`` items carry weight ``2^l``. A full level sorts and keeps the
-    even-index half, promoting it one level up (the KLL compactor with a
-    DETERMINISTIC even-parity selection instead of a coin flip — Karnin et
-    al. 2016 use randomness for unbiasedness; determinism trades a bounded
-    systematic rank drift, measured and pinned in tests, for bit-identical
-    results across runs/retries, which the driver contract requires).
-
-    Size is O(k log(N/k)) regardless of N; merge is concatenate-then-
-    recompact, associative up to the deterministic compaction order (both
-    sides canonicalise by sorting each level). At 100 TB this answers
-    quantiles over continuous doubles where the exact distinct-value
-    histogram (doc_length_quantiles) would shuffle the value universe.
-    """
-
-    def __init__(self, k: int = QS_K):
-        self.k = k
-        self.levels: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
-
-    def add_many(self, vals: np.ndarray) -> "QuantileSketch":
-        self.levels[0] = np.concatenate([self.levels[0], vals.astype(np.float64)])
-        self._compact()
-        return self
-
-    def _compact(self) -> None:
-        lvl = 0
-        while lvl < len(self.levels):
-            buf = self.levels[lvl]
-            if len(buf) <= self.k:
-                lvl += 1
-                continue
-            buf = np.sort(buf, kind="stable")
-            promoted = buf[::2]  # even indices, deterministic
-            self.levels[lvl] = np.empty(0, dtype=np.float64)
-            if lvl + 1 == len(self.levels):
-                self.levels.append(np.empty(0, dtype=np.float64))
-            self.levels[lvl + 1] = np.concatenate([self.levels[lvl + 1], promoted])
-            lvl += 1
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        for lvl, buf in enumerate(other.levels):
-            while lvl >= len(self.levels):
-                self.levels.append(np.empty(0, dtype=np.float64))
-            self.levels[lvl] = np.concatenate([self.levels[lvl], buf])
-        self._compact()
-        return self
-
-    def quantile(self, q: float) -> float:
-        vals = np.concatenate(self.levels)
-        if len(vals) == 0:
-            return float("nan")
-        weights = np.concatenate(
-            [np.full(len(b), 1 << l, dtype=np.int64) for l, b in enumerate(self.levels)]
-        )
-        order = np.argsort(vals, kind="stable")
-        vals, weights = vals[order], weights[order]
-        cum = np.cumsum(weights)
-        target = q * cum[-1]
-        return float(vals[np.searchsorted(cum, target, side="left").clip(0, len(vals) - 1)])
-
-    def to_bytes(self) -> bytes:
-        import struct
-
-        parts = [struct.pack("<II", self.k, len(self.levels))]
-        for b in self.levels:
-            bs = np.sort(b, kind="stable")  # canonical level order
-            parts.append(struct.pack("<I", len(bs)))
-            parts.append(bs.tobytes())
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "QuantileSketch":
-        import struct
-
-        k, n_levels = struct.unpack_from("<II", data, 0)
-        off = 8
-        s = cls(k)
-        s.levels = []
-        for _ in range(n_levels):
-            (n,) = struct.unpack_from("<I", data, off)
-            off += 4
-            s.levels.append(np.frombuffer(data, dtype=np.float64, count=n, offset=off).copy())
-            off += 8 * n
-        return s
-
-
-def approx_value_quantiles(
-    sf_dir: str, qs: tuple = QS_QUANTILES, k: int = QS_K
-) -> pa.Table:
-    """RANK-error-bounded variant (library alternative): per-batch KLL
-    sketches merged at the driver (one O(k log(N/k)) binary row per batch,
-    same shuffle shape as the HLL registers). NOT the driver query — the
-    compactor's output depends on merge order, so results vary with
-    batching/parallelism; ``approx_value_quantiles_dd`` (commutative bin
-    counts, relative-VALUE-error bound) is the deterministic driver
-    surface. Use this one when the value distribution is too heavy-tailed
-    for log bins and run-to-run bit-stability is not required."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        s = QuantileSketch(k).add_many(v[~np.isnan(v)])
-        return pa.Table.from_arrays(
-            [pa.array([s.to_bytes()], pa.binary())], names=["sketch"]
-        )
-
-    rows = (
-        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .take_all()
-    )
-    merged = QuantileSketch(k)
-    for r in rows:
-        merged.merge(QuantileSketch.from_bytes(r["sketch"]))
-    return pa.Table.from_arrays(
-        [
-            pa.array(list(qs), pa.float64()),
-            pa.array([merged.quantile(q) for q in qs], pa.float64()),
-        ],
-        names=["q", "value"],
-    )
-
-
-# ---------------------------------------------------------------------------
-# DDSketch-style log-binned quantiles: batch-order-INDEPENDENT by design
-# ---------------------------------------------------------------------------
-
-DD_GAMMA = 1.02  # ≤2% relative value error
-
-
-def dd_bins(vals: np.ndarray, gamma: float = DD_GAMMA) -> dict[int, int]:
-    """value -> bin counts. Bin of x>0 is ceil(log_gamma(x)); zero and
-    negatives get dedicated ranges (sign-split). Pure counting: merging
-    sketches is integer addition per bin — commutative, associative,
-    batch-layout-independent (unlike compactor sketches, whose output
-    depends on merge order)."""
-    out: dict[int, int] = {}
-    vals = vals[~np.isnan(vals)]
-    if len(vals) == 0:
-        return out
-    lg = np.log(gamma)
-    pos = vals > 0
-    neg = vals < 0
-    nz = int((vals == 0).sum())
-    if nz:
-        out[0] = nz
-    if pos.any():
-        b = np.ceil(np.log(vals[pos]) / lg).astype(np.int64)
-        for k, c in zip(*np.unique(b, return_counts=True)):
-            out[int(k) * 2 + 1] = int(c)  # odd keys: positive bins
-    if neg.any():
-        b = np.ceil(np.log(-vals[neg]) / lg).astype(np.int64)
-        for k, c in zip(*np.unique(b, return_counts=True)):
-            out[int(k) * -2] = out.get(int(k) * -2, 0) + int(c)  # even<0: negative
-    return out
-
-
-def _dd_bin_value(key: int, gamma: float = DD_GAMMA) -> float:
-    if key == 0:
-        return 0.0
-    if key % 2 == 1:  # positive: bin b covers (gamma^(b-1), gamma^b]
-        b = (key - 1) // 2
-        return float(gamma ** b)
-    b = -key // 2
-    return float(-(gamma ** b))
-
-
-def dd_quantiles(
-    bins: dict[int, int], qs: tuple, gamma: float = DD_GAMMA
-) -> list[float]:
-    """Quantiles by cumulative walk over value-ordered bins (negative bins
-    descend by magnitude first, then zero, then positives ascend)."""
-    if not bins:
-        return [float("nan")] * len(qs)
-    def order_key(k: int) -> float:
-        return _dd_bin_value(k, gamma)
-
-    keys = sorted(bins, key=order_key)
-    counts = np.array([bins[k] for k in keys], dtype=np.int64)
-    cum = np.cumsum(counts)
-    total = int(cum[-1])
-    out = []
-    for q in qs:
-        target = q * total
-        i = int(np.searchsorted(cum, target, side="left").clip(0, len(keys) - 1))
-        out.append(_dd_bin_value(keys[i], gamma))
-    return out
-
-
-def approx_value_quantiles_dd(
-    sf_dir: str, qs: tuple = QS_QUANTILES, gamma: float = DD_GAMMA
-) -> pa.Table:
-    """Approximate quantiles of events.value with ≤(gamma-1) relative value
-    error. Per-batch bin-count rows shuffle through ONE tiny groupby (one
-    row per occupied bin per batch, a few hundred bins total) — and the
-    result is EXACTLY reproducible under any batching/parallelism, so it
-    is golden-hash-frozen like the other deterministic queries."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        b = dd_bins(v, gamma)
-        return pa.Table.from_arrays(
-            [
-                pa.array(list(b.keys()), pa.int64()),
-                pa.array(list(b.values()), pa.int64()),
-            ],
-            names=["bin", "n"],
-        )
-
-    rows = (
-        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bin")
-        .sum("n")
-        .take_all()
-    )
-    merged = {int(r["bin"]): int(r["sum(n)"]) for r in rows}
-    vals = dd_quantiles(merged, qs, gamma)
-    return pa.Table.from_arrays(
-        [pa.array(list(qs), pa.float64()), pa.array(vals, pa.float64())],
-        names=["q", "value"],
-    )
-
-
-def value_quantiles_by_type(
-    sf_dir: str, qs: tuple = QS_QUANTILES, gamma: float = DD_GAMMA
-) -> ray.data.Dataset:
-    """GROUPED approximate quantiles: per event_type, the DDSketch log-bin
-    quantiles of value. The grouped-mergeable-sketch shape (same as the
-    per-host HLL): each batch emits one (event_type, bin, n) row per
-    occupied bin per group — never one row per event — and a single small
-    groupby merges counts; the per-group quantile walk runs inside
-    map_groups on bin-cardinality-sized groups. Deterministic under any
-    batching (commutative integer merge), so golden-frozen."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        types = batch.column("event_type").to_numpy(zero_copy_only=False)
-        vals = batch.column("value").to_numpy(zero_copy_only=False)
-        out_t, out_b, out_n = [], [], []
-        for t in np.unique(types):
-            for b, n in dd_bins(vals[types == t], gamma).items():
-                out_t.append(t)
-                out_b.append(b)
-                out_n.append(n)
-        return pa.Table.from_arrays(
-            [
-                pa.array(out_t, pa.string()),
-                pa.array(out_b, pa.int64()),
-                pa.array(out_n, pa.int64()),
-            ],
-            names=["event_type", "bin", "n"],
-        )
-
-    merged = (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "bin"])
-        .sum("n")
-    )
-
-    def finish(group: pa.Table) -> pa.Table:
-        cols = group.column_names
-        nc = "sum(n)" if "sum(n)" in cols else "n"
-        bins = {
-            int(b): int(n)
-            for b, n in zip(group.column("bin").to_pylist(), group.column(nc).to_pylist())
-        }
-        vals = dd_quantiles(bins, qs, gamma)
-        et = group.column("event_type")[0].as_py()
-        return pa.Table.from_arrays(
-            [
-                pa.array([et] * len(qs), pa.string()),
-                pa.array(list(qs), pa.float64()),
-                pa.array(vals, pa.float64()),
-            ],
-            names=["event_type", "q", "value"],
-        )
-
-    return merged.groupby("event_type").map_groups(finish, batch_format="pyarrow")

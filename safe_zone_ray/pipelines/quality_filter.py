@@ -215,6 +215,22 @@ ABLATION_RULES = (
 )
 
 
+def _rule_flags(batch: pa.Table, allowed_langs: tuple[str, ...]):
+    """(rows, len(ABLATION_RULES)) bool matrix: column r is set where rule r
+    fires independently of the others (pii, language, then the 7
+    ``quality_flags`` bits)."""
+    import numpy as np
+
+    qf = batch.column("quality_flags").to_numpy(zero_copy_only=False).astype(np.int64)
+    lang = batch.column("lang_id").to_numpy(zero_copy_only=False)
+    flags = np.zeros((batch.num_rows, len(ABLATION_RULES)), dtype=bool)
+    flags[:, 0] = batch.column("pii_blocked").to_numpy(zero_copy_only=False).astype(bool)
+    flags[:, 1] = ~np.isin(lang, np.array(allowed_langs, dtype=object))
+    for k in range(7):
+        flags[:, 2 + k] = (qf >> k) & 1
+    return flags
+
+
 def rule_ablation(decisions: "ray.data.Dataset", allowed_langs: tuple[str, ...] = ("en",)):
     """Per-rule drop attribution over the flagship decisions — the standard
     curation diagnostic (which filters bite, which are redundant):
@@ -237,16 +253,8 @@ def rule_ablation(decisions: "ray.data.Dataset", allowed_langs: tuple[str, ...] 
     n_rules = len(ABLATION_RULES)
 
     def partial(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        qf = batch.column("quality_flags").to_numpy(zero_copy_only=False).astype(np.int64)
-        pii = batch.column("pii_blocked").to_numpy(zero_copy_only=False).astype(bool)
-        lang = batch.column("lang_id").to_numpy(zero_copy_only=False)
         reason = batch.column("drop_reason").to_numpy(zero_copy_only=False)
-        flags = np.zeros((n, n_rules), dtype=bool)
-        flags[:, 0] = pii
-        flags[:, 1] = ~np.isin(lang, np.array(allowed_langs, dtype=object))
-        for k in range(7):
-            flags[:, 2 + k] = (qf >> k) & 1
+        flags = _rule_flags(batch, allowed_langs)
         nf = flags.sum(axis=1)
         uniq = flags & (nf == 1)[:, None]
         n_attr = np.array([(reason == r).sum() for r in ABLATION_RULES], dtype=np.int64)
@@ -306,15 +314,7 @@ def rule_overlap_matrix(
     n_rules = len(ABLATION_RULES)
 
     def partial(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        qf = batch.column("quality_flags").to_numpy(zero_copy_only=False).astype(np.int64)
-        pii = batch.column("pii_blocked").to_numpy(zero_copy_only=False).astype(bool)
-        lang = batch.column("lang_id").to_numpy(zero_copy_only=False)
-        flags = np.zeros((n, n_rules), dtype=np.int64)
-        flags[:, 0] = pii
-        flags[:, 1] = ~np.isin(lang, np.array(allowed_langs, dtype=object))
-        for k in range(7):
-            flags[:, 2 + k] = (qf >> k) & 1
+        flags = _rule_flags(batch, allowed_langs).astype(np.int64)
         m = flags.T @ flags  # (9, 9) co-occurrence counts
         i, j = np.meshgrid(np.arange(n_rules), np.arange(n_rules), indexing="ij")
         return pa.table(

@@ -47,7 +47,7 @@ def main(sf_dir: str, only: set[str] | None = None) -> int:
     import __ray_entry__ as e
 
     con = duckdb.connect()
-    for t in "events documents embeddings".split():
+    for t in "documents embeddings".split():
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
     qs = e.queries()

@@ -3,8 +3,10 @@ Usage: python scripts/size_ledger.py [sf_dir]  (default /root/testdata/sf0.001)
 
 Prints package lines, `def test_` count, the queries() / oracle_sql() /
 GOLDEN / GOLDEN_SF001 sizes, the entries that qualify for the driver window
-(oracle-backed and absent from CORRECTNESS_r01-r04), and the modules that
-no import statement, top-level or lazy, reaches from the engine entry points.
+(oracle-backed and absent from CORRECTNESS_r01-r04), whether this checkout's
+query order meets the conditions of tests/test_query_order.py, and the
+modules that no import statement, top-level or lazy, reaches from the engine
+entry points.
 """
 
 from __future__ import annotations
@@ -48,6 +50,21 @@ def imports(path: str, known: set[str]) -> set[str]:
     return parts & known
 
 
+def window_breaks(queries: list[str], oracle: dict, checked: set[str]) -> list[str]:
+    """The conditions tests/test_query_order.py puts on the first 50
+    entries, checked against this checkout; one message per broken one."""
+    window = queries[:50]
+    out = [f"no oracle: {k}" for k in window if k not in oracle]
+    out += [f"in CORRECTNESS_r01-r04: {k}" for k in window if k in checked]
+    if window[:1] != ["exact_substring_dup_stats"]:
+        out.append(f"window[0] is {window[:1]}, not exact_substring_dup_stats")
+    if "global_line_dedup" not in window[:5]:
+        out.append("global_line_dedup not in the first 5")
+    keep = ("quality_filter_decisions", "kept_corpus", "toxicity_flags", "exact_dedup", "bm25_topk")
+    out += [f"missing keeper: {k}" for k in keep if k not in queries]
+    return out + [f"oracle without query: {k}" for k in oracle if k not in queries]
+
+
 def main(sf_dir: str) -> None:
     files = glob.glob(os.path.join(ROOT, "safe_zone_ray", "**", "*.py"), recursive=True)
     path_of = {os.path.relpath(f, ROOT)[:-3].replace(os.sep, ".").removesuffix(".__init__"): f
@@ -75,6 +92,8 @@ def main(sf_dir: str) -> None:
     print(f"GOLDEN            {len(g.GOLDEN)}")
     print(f"GOLDEN_SF001      {len(g.GOLDEN_SF001)}")
     print(f"window-qualifying {sum(k in oracle and k not in checked for k in queries)}")
+    breaks = window_breaks(queries, oracle, checked)
+    print(f"driver window     {'ok' if not breaks else 'BROKEN: ' + '; '.join(breaks)}")
     off = sorted(set(path_of) - seen)
     print(f"off the engine import graph: {len(off)} modules, "
           f"{sum(lines(path_of[m]) for m in off)} lines")

@@ -1,6 +1,6 @@
 """Relational-analytics operators (functions/analytics.py): planted-truth,
-DuckDB-oracle equality, boundary semantics (inclusive range-join window,
-NTILE tie/boundary behavior, n < k), and fragment-layout invariance."""
+DuckDB-oracle equality, boundary semantics (NTILE tie/boundary behavior,
+n < k), and fragment-layout invariance."""
 
 import os
 
@@ -57,69 +57,6 @@ def _docs_table(texts, langs=None, sources=None):
         ],
         names=["doc_id", "text", "lang", "source", "n_chars"],
     )
-
-
-# ---------------------------------------------------------------- range join
-
-
-def test_events_cooccurrence_planted(ray_session, tmp_path):
-    # user 1: click@0s, view@100s, purchase@300s, error@301s
-    #   click->view (100s), click->purchase (300s INCLUSIVE boundary),
-    #   view->purchase (200s), view->error (201s), purchase->error (1s)
-    #   click->error is 301s: OUT of the 300s window
-    # user 2: a same-timestamp tie (event_id order decides earlier/later)
-    # user 3: isolated (no pairs); cross-user pairs must never appear
-    base = 1_700_000_000_000_000  # us
-    t = pa.Table.from_arrays(
-        [
-            pa.array([1, 2, 3, 4, 10, 11, 20], pa.int64()),
-            pa.array(
-                [base, base + 100_000_000, base + 300_000_000, base + 301_000_000, base, base, base],
-                pa.timestamp("us"),
-            ),
-            pa.array([1, 1, 1, 1, 2, 2, 3], pa.int64()),
-            pa.array(["click", "view", "purchase", "error", "view", "click", "view"]),
-            pa.array([0.0] * 7, pa.float64()),
-            pa.array(["{}"] * 7),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    d = _write(tmp_path, "events", t)
-    got = {
-        (r["type_a"], r["type_b"]): r["pair_count"]
-        for r in A.events_cooccurrence(d).take_all()
-    }
-    assert got == {
-        ("click", "view"): 1,
-        ("click", "purchase"): 1,
-        ("view", "purchase"): 1,
-        ("view", "error"): 1,
-        ("purchase", "error"): 1,
-        # user 2's tie: event_id 10 (view) precedes 11 (click)
-        ("view", "click"): 1,
-    }
-
-
-def test_events_cooccurrence_oracle_and_fragments(ray_session, tmp_path):
-    rng = np.random.default_rng(7)
-    n = 400
-    base = 1_700_000_000_000_000
-    t = pa.Table.from_arrays(
-        [
-            pa.array(range(n), pa.int64()),
-            pa.array(base + rng.integers(0, 3_600_000_000, n), pa.timestamp("us")),
-            pa.array(rng.integers(0, 12, n), pa.int64()),
-            pa.array(rng.choice(["click", "view", "purchase", "error"], n)),
-            pa.array(rng.random(n), pa.float64()),
-            pa.array(["{}"] * n),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    d1 = _write(tmp_path, "events", t)
-    ora = _rows(_oracle(A.events_cooccurrence_oracle_sql(), events=d1))
-    assert _rows(A.events_cooccurrence(d1)) == ora
-    d3 = _write(tmp_path / "f", "events", t, n_fragments=5)
-    assert _rows(A.events_cooccurrence(d3)) == ora
 
 
 # ----------------------------------------------------------------- rollup
@@ -244,63 +181,6 @@ def test_word_cooccurrence_pmi_planted_collocation(ray_session, tmp_path):
     assert all(r["c_ab"] >= A.PMI_MIN_PAIRS for r in rows)
 
 
-# ------------------------------------------------------------------ funnel
-
-
-def test_event_funnel_planted(ray_session, tmp_path):
-    # user 1 completes all three IN ORDER; user 2's purchase precedes its
-    # view (depth 2); user 3 has no signup (depth 0); user 4 signup only;
-    # user 5: view at the SAME instant as signup -> strict '>' excludes it
-    base = 1_700_000_000_000_000
-    rows = [
-        (1, 1, "signup", base),
-        (2, 1, "view", base + 10),
-        (3, 1, "purchase", base + 20),
-        (4, 2, "signup", base),
-        (5, 2, "purchase", base + 5),
-        (6, 2, "view", base + 10),
-        (7, 3, "view", base),
-        (8, 4, "signup", base),
-        (9, 5, "signup", base),
-        (10, 5, "view", base),
-    ]
-    t = pa.Table.from_arrays(
-        [
-            pa.array([r[0] for r in rows], pa.int64()),
-            pa.array([r[3] for r in rows], pa.timestamp("us")),
-            pa.array([r[1] for r in rows], pa.int64()),
-            pa.array([r[2] for r in rows]),
-            pa.array([0.0] * len(rows), pa.float64()),
-            pa.array(["{}"] * len(rows)),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    d = _write(tmp_path, "events", t)
-    got = {r["step"]: r["n_users"] for r in A.event_funnel(d).to_pylist()}
-    # signup: users 1,2,4,5 = 4; signup->view: users 1,2 = 2; full: user 1
-    assert got == {1: 4, 2: 2, 3: 1}
-
-
-def test_event_funnel_oracle(ray_session, tmp_path):
-    rng = np.random.default_rng(13)
-    n = 500
-    base = 1_700_000_000_000_000
-    t = pa.Table.from_arrays(
-        [
-            pa.array(range(n), pa.int64()),
-            pa.array(base + rng.integers(0, 10_000_000_000, n), pa.timestamp("us")),
-            pa.array(rng.integers(0, 40, n), pa.int64()),
-            pa.array(rng.choice(["click", "view", "purchase", "signup"], n)),
-            pa.array(rng.random(n), pa.float64()),
-            pa.array(["{}"] * n),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    d = _write(tmp_path, "events", t, n_fragments=4)
-    ora = _rows(_oracle(A.event_funnel_oracle_sql(), events=d))
-    assert _rows(A.event_funnel(d)) == ora
-
-
 # ------------------------------------------------------- grouped quantiles
 
 
@@ -327,41 +207,6 @@ def test_doc_length_quantiles_by_lang_single_row_group(ray_session, tmp_path):
     assert got[("en", 0.5)] == 10 and got[("en", 0.99)] == 20
 
 
-def test_events_cooccurrence_tiling_hot_user(ray_session, tmp_path):
-    # ONE hot user whose events densely cross many epoch boundaries,
-    # including exact-boundary and exact-window-edge timestamps: the
-    # interval tiling (ghost replication) must reproduce the naive
-    # single-group SQL join exactly
-    from safe_zone_ray.functions.analytics import COOC_EPOCH_S, COOC_WINDOW_S
-
-    rng = np.random.default_rng(23)
-    n = 800
-    base = 1_700_000_000_000_000
-    ep, w = COOC_EPOCH_S * 1_000_000, COOC_WINDOW_S * 1_000_000
-    ts = np.concatenate(
-        [
-            base + rng.integers(0, 6 * ep, n - 6),
-            # planted exact edges: on a boundary, W before/after a boundary
-            np.array([base + ep, base + ep - w, base + ep + w, base + 2 * ep, base + 2 * ep - 1, base + 2 * ep + 1]),
-        ]
-    )
-    m = len(ts)
-    t = pa.Table.from_arrays(
-        [
-            pa.array(range(m), pa.int64()),
-            pa.array(ts, pa.timestamp("us")),
-            pa.array(np.zeros(m, np.int64)),
-            pa.array(rng.choice(["click", "view", "purchase"], m)),
-            pa.array(np.zeros(m), pa.float64()),
-            pa.array(["{}"] * m),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    d = _write(tmp_path, "events", t, n_fragments=3)
-    ora = _rows(_oracle(A.events_cooccurrence_oracle_sql(), events=d))
-    assert _rows(A.events_cooccurrence(d)) == ora
-
-
 # -------------------------------------------------------------- correlation
 
 
@@ -385,189 +230,6 @@ def test_doc_len_token_correlation_degenerate(ray_session, tmp_path):
     got = {r["lang"]: (r["n_docs"], r["pearson_r"]) for r in A.doc_len_token_correlation(d).take_all()}
     assert got["en"] == (2, 0.0)  # n_chars constant -> den == 0
     assert got["fr"] == (1, 0.0)
-
-
-# ------------------------------------------------------------------ cohort
-
-
-def test_cohort_retention_planted(ray_session, tmp_path):
-    wk = 7 * 24 * 3600 * 1_000_000
-    base = (1_700_000_000_000_000 // wk) * wk  # align to a week boundary
-    rows = [
-        # user 1: signup week 0, active weeks 0, 1, 3
-        (1, 1, "signup", base + 10),
-        (2, 1, "click", base + 20),
-        (3, 1, "view", base + wk + 15),
-        (4, 1, "view", base + 3 * wk + 5 + 10),
-        # user 2: PRE-signup event 1 us before signup (must NOT count as
-        # offset 0 — the DuckDB truncation trap), then signup week 0
-        (5, 2, "click", base + 99),
-        (6, 2, "signup", base + 100),
-        # user 3: no signup -> contributes nothing
-        (7, 3, "view", base),
-        # user 4: event beyond the retention horizon (week 8) ignored
-        (8, 4, "signup", base),
-        (9, 4, "view", base + 8 * wk + 1),
-    ]
-    t = pa.Table.from_arrays(
-        [
-            pa.array([r[0] for r in rows], pa.int64()),
-            pa.array([r[3] for r in rows], pa.timestamp("us")),
-            pa.array([r[1] for r in rows], pa.int64()),
-            pa.array([r[2] for r in rows]),
-            pa.array([0.0] * len(rows), pa.float64()),
-            pa.array(["{}"] * len(rows)),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    d = _write(tmp_path, "events", t)
-    got = {
-        (r["cohort_week"], r["week_offset"]): r["n_users"]
-        for r in A.cohort_retention(d).take_all()
-    }
-    w0 = base // wk
-    # offsets anchored at each user's signup instant: users 1,2,4 at week 0
-    assert got == {(w0, 0): 3, (w0, 1): 1, (w0, 3): 1}
-    # and the oracle agrees on the same planted corner cases
-    assert _rows(A.cohort_retention(d)) == _rows(
-        _oracle(A.cohort_retention_oracle_sql(), events=d)
-    )
-
-
-def test_cohort_retention_oracle_random(ray_session, tmp_path):
-    rng = np.random.default_rng(31)
-    n = 600
-    base = 1_700_000_000_000_000
-    t = pa.Table.from_arrays(
-        [
-            pa.array(range(n), pa.int64()),
-            pa.array(base + rng.integers(0, 70 * 24 * 3600 * 1_000_000, n), pa.timestamp("us")),
-            pa.array(rng.integers(0, 30, n), pa.int64()),
-            pa.array(rng.choice(["click", "view", "purchase", "signup"], n)),
-            pa.array(rng.random(n), pa.float64()),
-            pa.array(["{}"] * n),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    d = _write(tmp_path, "events", t, n_fragments=4)
-    assert _rows(A.cohort_retention(d)) == _rows(
-        _oracle(A.cohort_retention_oracle_sql(), events=d)
-    )
-
-
-# ------------------------------------------------------------ event_transitions
-
-
-def test_event_transitions_planted(ray_session, tmp_path):
-    import pyarrow as pa
-
-    from safe_zone_ray.functions.analytics import (
-        event_transitions,
-        event_transitions_oracle_sql,
-    )
-
-    base = 1_700_000_000_000_000
-    rows = [
-        # user 1: a -> b -> b -> c (ties on ts broken by event_id: 3 before 4)
-        (1, base, 1, "a"),
-        (2, base + 10, 1, "b"),
-        (3, base + 20, 1, "b"),
-        (4, base + 20, 1, "c"),
-        # user 2: single event -> no transitions
-        (5, base, 2, "a"),
-        # user 65 (same bucket as user 1 mod 64): must NOT chain across users
-        (6, base + 5, 65, "z"),
-        (7, base + 6, 65, "a"),
-    ]
-    t = pa.Table.from_arrays(
-        [
-            pa.array([r[0] for r in rows], pa.int64()),
-            pa.array([r[1] for r in rows], pa.timestamp("us")),
-            pa.array([r[2] for r in rows], pa.int64()),
-            pa.array([r[3] for r in rows]),
-            pa.array([1.0] * len(rows), pa.float64()),
-            pa.array(["{}"] * len(rows)),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    d = _write_events(tmp_path, t)
-    got = event_transitions(d).to_pandas()
-    m = {(r.from_type, r.to_type): int(r.n_transitions) for r in got.itertuples()}
-    assert m == {("a", "b"): 1, ("b", "b"): 1, ("b", "c"): 1, ("z", "a"): 1}
-    import duckdb
-
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM '{d}/events.parquet'")
-    want = con.execute(event_transitions_oracle_sql()).df()
-    wm = {(r.from_type, r.to_type): int(r.n_transitions) for r in want.itertuples()}
-    assert m == wm
-
-
-def test_event_transitions_fragment_invariance(ray_session, tmp_path):
-    import duckdb
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from safe_zone_ray.functions.analytics import (
-        event_transitions,
-        event_transitions_oracle_sql,
-    )
-
-    rng = np.random.default_rng(29)
-    n = 800
-    base = 1_700_000_000_000_000
-    t = pa.Table.from_arrays(
-        [
-            pa.array(range(n), pa.int64()),
-            pa.array(
-                [base + int(x) for x in rng.integers(0, 10**9, size=n)], pa.timestamp("us")
-            ),
-            pa.array([int(x) for x in rng.integers(1, 200, size=n)], pa.int64()),
-            pa.array([["a", "b", "c", "d"][i % 4] for i in range(n)]),
-            pa.array([1.0] * n, pa.float64()),
-            pa.array(["{}"] * n),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-    baseline = None
-    for n_frag in (1, 6):
-        d = str(tmp_path / f"ev{n_frag}")
-        import os
-
-        sub = os.path.join(d, "events.parquet")
-        if n_frag == 1:
-            os.makedirs(d)
-            pq.write_table(t, sub)
-        else:
-            os.makedirs(sub)
-            step = (n + n_frag - 1) // n_frag
-            for i in range(n_frag):
-                pq.write_table(t.slice(i * step, step), os.path.join(sub, f"p{i}.parquet"))
-        got = event_transitions(d).to_pandas().sort_values(["from_type", "to_type"])
-        r = list(map(tuple, got.astype(str).values))
-        con = duckdb.connect()
-        p = sub if n_frag == 1 else f"{sub}/*.parquet"
-        con.execute(f"CREATE VIEW events AS SELECT * FROM '{p}'")
-        want = (
-            con.execute(event_transitions_oracle_sql())
-            .df()
-            .sort_values(["from_type", "to_type"])
-        )
-        assert r == list(map(tuple, want.astype(str).values))
-        baseline = baseline or r
-        assert r == baseline
-
-
-def _write_events(tmp_path, table):
-    import os
-
-    import pyarrow.parquet as pq
-
-    d = str(tmp_path / "ev")
-    os.makedirs(d, exist_ok=True)
-    pq.write_table(table, os.path.join(d, "events.parquet"))
-    return d
 
 
 # ------------------------------------------------- doc_length_percentile
@@ -600,79 +262,6 @@ def test_doc_length_percentile_fragment_invariance(ray_session, tmp_path):
         assert got == _rows(_oracle(A.doc_length_percentile_oracle_sql(), documents=d))
         baseline = baseline or got
         assert got == baseline
-
-
-# ------------------------------------------------- events_hourly_spikes
-
-
-def _events_table(rows):
-    return pa.Table.from_arrays(
-        [
-            pa.array([r[0] for r in rows], pa.int64()),
-            pa.array([r[1] for r in rows], pa.timestamp("us")),
-            pa.array([r[2] for r in rows], pa.int64()),
-            pa.array([r[3] for r in rows]),
-            pa.array([1.0] * len(rows), pa.float64()),
-            pa.array(["{}"] * len(rows)),
-        ],
-        names=["event_id", "ts", "user_id", "event_type", "value", "props"],
-    )
-
-
-def test_events_hourly_spikes_planted(ray_session, tmp_path):
-    # type "a": 9 quiet hours with 1 event, 1 loud hour with 20 -> only the
-    # loud hour clears mean + 2 sigma. type "b": flat series, no spikes.
-    hour_us = 3_600 * 1_000_000
-    base = 1_700_000_000_000_000
-    rows, eid = [], 0
-    for h in range(9):
-        rows.append((eid, base + h * hour_us, 1, "a")); eid += 1
-    for i in range(20):
-        rows.append((eid, base + 9 * hour_us + i, 1, "a")); eid += 1
-    for h in range(5):
-        rows.append((eid, base + h * hour_us, 2, "b")); eid += 1
-    d = _write_events(tmp_path, _events_table(rows))
-    got = A.events_hourly_spikes(d).to_pandas()
-    assert len(got) == 1
-    assert got.iloc[0]["event_type"] == "a"
-    assert int(got.iloc[0]["n_events"]) == 20
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM '{d}/events.parquet'")
-    want = con.execute(A.events_hourly_spikes_oracle_sql()).df()
-    assert _rows(got) == _rows(want)
-
-
-def test_events_hourly_spikes_oracle_random(ray_session, tmp_path):
-    rng = np.random.default_rng(37)
-    n = 3000
-    base = 1_700_000_000_000_000
-    rows = [
-        (
-            i,
-            base + int(rng.integers(0, 72)) * 3_600 * 1_000_000 + int(rng.integers(0, 3_600_000_000)),
-            int(rng.integers(1, 50)),
-            ["a", "b", "c"][int(rng.integers(0, 3))],
-        )
-        for i in range(n)
-    ]
-    t = _events_table(rows)
-    for n_frag in (1, 4):
-        d = str(tmp_path / f"ev{n_frag}")
-        os.makedirs(d, exist_ok=True)
-        sub = os.path.join(d, "events.parquet")
-        if n_frag == 1:
-            pq.write_table(t, sub)
-        else:
-            os.makedirs(sub)
-            step = (n + n_frag - 1) // n_frag
-            for i in range(n_frag):
-                pq.write_table(t.slice(i * step, step), os.path.join(sub, f"p{i}.parquet"))
-        got = A.events_hourly_spikes(d).to_pandas()
-        con = duckdb.connect()
-        p = sub if n_frag == 1 else f"{sub}/*.parquet"
-        con.execute(f"CREATE VIEW events AS SELECT * FROM '{p}'")
-        want = con.execute(A.events_hourly_spikes_oracle_sql()).df()
-        assert _rows(got) == _rows(want)
 
 
 def test_source_lang_cube_oracle_and_fragments(ray_session, tmp_path):

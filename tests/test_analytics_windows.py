@@ -1,6 +1,6 @@
-"""Per-key analytic windows (user_event_analytics) and per-source quota
-(per_source_quota): planted-truth, oracle-equality, and fragment-layout
-invariance (the combiner cut must not depend on batch boundaries)."""
+"""Per-source quota (per_source_quota): planted-truth, oracle-equality, and
+fragment-layout invariance (the combiner cut must not depend on batch
+boundaries)."""
 
 import os
 
@@ -27,59 +27,6 @@ def _write(tmp_path, name, table, n_fragments=1):
             part = table.slice(i * step, step)
             pq.write_table(part, os.path.join(sub, f"part-{i}.parquet"))
     return d
-
-
-def test_user_event_analytics_planted(ray_session, tmp_path):
-    from safe_zone_ray.functions.windows import user_event_analytics
-
-    # user 1: three events with a same-timestamp tie broken by event_id;
-    # user 2: a single event (gap_us must be -1); values exercise the
-    # half-away cents rounding (1.005 -> 101 cents, not banker's 100)
-    t = pa.Table.from_arrays(
-        [
-            pa.array([10, 11, 12, 20], pa.int64()),
-            pa.array([1, 1, 1, 2], pa.int64()),
-            pa.array(
-                [1_000_000, 1_000_000, 4_000_000, 9_000_000], pa.timestamp("us")
-            ),
-            pa.array([1.005, 2.0, 0.004, 10.0], pa.float64()),
-        ],
-        names=["event_id", "user_id", "ts", "value"],
-    )
-    d = _write(tmp_path, "events_planted", t)
-    got = sorted(
-        (r["user_id"], r["seq_no"], r["event_id"], r["running_cents"], r["gap_us"])
-        for r in user_event_analytics(d).take_all()
-    )
-    assert got == [
-        # float64 1.005 is 1.00499..., so both engines land on 100 cents —
-        # the discipline is "identical to the SQL oracle", not decimal math
-        (1, 1, 10, 100, -1),
-        (1, 2, 11, 300, 0),  # same-ts tie ordered by event_id
-        (1, 3, 12, 300, 3_000_000),  # 0.004 -> 0 cents
-        (2, 1, 20, 1000, -1),
-    ]
-
-
-def test_user_event_analytics_matches_oracle_sf(ray_session, sf_dir):
-    import sys
-
-    sys.path.insert(0, SCRIPTS)
-    from check_oracle import value_hash
-
-    from safe_zone_ray.functions.windows import (
-        user_event_analytics,
-        user_event_analytics_oracle_sql,
-    )
-
-    got = user_event_analytics(sf_dir).to_pandas()
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{sf_dir}/events.parquet')"
-    )
-    want = con.sql(user_event_analytics_oracle_sql()).df()
-    assert len(got) == len(want)
-    assert value_hash(got) == value_hash(want)
 
 
 def test_per_source_quota_planted_and_fragment_invariant(ray_session, tmp_path):

@@ -142,89 +142,3 @@ def test_boilerplate_scrub_matches_oracle(boiler_dir):
         .reset_index(drop=True)
     )
     assert got.equals(want)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic mergeable quantile sketch
-# ---------------------------------------------------------------------------
-
-
-def test_quantile_sketch_accuracy_and_merge():
-    rng = np.random.RandomState(0)
-    data = rng.lognormal(0, 2, 100000)
-    bulk = sketch.QuantileSketch().add_many(data)
-    merged = sketch.QuantileSketch()
-    for chunk in np.array_split(data, 37):
-        merged.merge(sketch.QuantileSketch().add_many(chunk))
-    for s in (bulk, merged):
-        for q in (0.1, 0.5, 0.9, 0.99):
-            est = s.quantile(q)
-            rank = (data <= est).mean()
-            assert abs(rank - q) < 0.01, (q, rank)
-
-
-def test_quantile_sketch_deterministic_roundtrip():
-    rng = np.random.RandomState(1)
-    data = rng.randn(20000)
-    a = sketch.QuantileSketch().add_many(data)
-    b = sketch.QuantileSketch().add_many(data)
-    assert a.to_bytes() == b.to_bytes()  # bit-identical across runs
-    c = sketch.QuantileSketch.from_bytes(a.to_bytes())
-    assert c.quantile(0.5) == a.quantile(0.5)
-    # size stays O(k log(N/k)), far below N
-    assert sum(len(l) for l in a.levels) < 6 * sketch.QS_K
-
-
-def test_approx_value_quantiles_vs_exact(ray_session):
-    import duckdb
-
-    sf = "/root/testdata/sf0.001"
-    t = sketch.approx_value_quantiles(sf)
-    con = duckdb.connect()
-    n = con.sql(f"SELECT count(*) FROM read_parquet('{sf}/events.parquet')").fetchone()[0]
-    for q, v in zip(t.column("q").to_pylist(), t.column("value").to_pylist()):
-        rank = con.sql(
-            f"SELECT count(*) FROM read_parquet('{sf}/events.parquet') WHERE value <= {v}"
-        ).fetchone()[0]
-        assert abs(rank / n - q) < 0.01
-
-
-def test_dd_quantiles_accuracy_and_batch_independence(ray_session):
-    import duckdb
-
-    sf = "/root/testdata/sf0.001"
-    t = sketch.approx_value_quantiles_dd(sf)
-    con = duckdb.connect()
-    for q, v in zip(t.column("q").to_pylist(), t.column("value").to_pylist()):
-        exact = con.sql(
-            f"SELECT quantile_disc(value, {q}) FROM read_parquet('{sf}/events.parquet')"
-        ).fetchone()[0]
-        assert abs(v - exact) / max(abs(exact), 1e-9) <= sketch.DD_GAMMA - 1 + 1e-6
-
-
-def test_dd_bins_merge_commutative():
-    rng = np.random.RandomState(5)
-    a, b = rng.lognormal(0, 1, 5000), -rng.lognormal(0, 1, 3000)
-    both = np.concatenate([a, b])
-    m1 = sketch.dd_bins(both)
-    m2 = sketch.dd_bins(a)
-    for k, v in sketch.dd_bins(b).items():
-        m2[k] = m2.get(k, 0) + v
-    assert m1 == m2  # split-then-merge == bulk, exactly
-    qs = (0.1, 0.5, 0.9)
-    assert sketch.dd_quantiles(m1, qs) == sketch.dd_quantiles(m2, qs)
-
-
-def test_grouped_dd_quantiles_accuracy(ray_session):
-    import duckdb
-
-    sf = "/root/testdata/sf0.001"
-    rows = sketch.value_quantiles_by_type(sf).take_all()
-    con = duckdb.connect()
-    assert len({r["event_type"] for r in rows}) >= 2
-    for r in rows:
-        exact = con.sql(
-            f"SELECT quantile_disc(value, {r['q']}) FROM "
-            f"read_parquet('{sf}/events.parquet') WHERE event_type = '{r['event_type']}'"
-        ).fetchone()[0]
-        assert abs(r["value"] - exact) / max(abs(exact), 1e-9) <= sketch.DD_GAMMA - 1 + 1e-6

@@ -51,17 +51,10 @@ GOLDEN = {
     "per_host_distinct_urls": ("b6131234bced25d5", 50),
     # round-3 continuation: zlib ratio (fixed zlib level inside the
     # container; cross-zlib-version drift would surface here by design)
-    # and the deterministic KLL quantile sketch (accuracy separately
-    # pinned in tests/test_frequent_tokens.py)
     "compression_ratio_stats": ("3ae8a8ed2c9e5406", 500),
-    # DDSketch-style log bins: hash verified identical at 2/4/8 CPUs (the
-    # bin-count merge is commutative, unlike a compactor sketch)
-    "approx_value_quantiles": ("f9f014103e84ad80", 6),
     # MinHash broadcast join vs the doc_id%50 benchmark slice (hash
     # verified identical at 4/8 CPUs — signatures are batch-independent)
     "benchmark_fuzzy_contamination": ("78bf79f359b57413", 3),
-    # grouped DDSketch (per event_type), hash verified at 4/8 CPUs
-    "value_quantiles_by_type": ("b436d65195a2cbe4", 30),
 }
 
 

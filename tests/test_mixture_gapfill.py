@@ -1,7 +1,6 @@
-"""Mixture interleave schedule (functions/mixture.py) and hourly gap-fill
-(functions/windows.events_hourly_gapfill): planted-truth interleave on a
-tiny two-source table, closed-form-vs-ORDER-BY parity at sf0.001, and
-densification invariants."""
+"""Mixture interleave schedule (functions/mixture.py): planted-truth
+interleave on a tiny two-source table and closed-form-vs-ORDER-BY parity at
+sf0.001."""
 
 import hashlib
 import os
@@ -26,10 +25,9 @@ def _value_hash(df: pd.DataFrame) -> str:
 
 def _duck(sf_dir: str, sql: str) -> pd.DataFrame:
     con = duckdb.connect()
-    for t in ("events", "documents"):
-        p = f"{sf_dir}/{t}.parquet"
-        if os.path.exists(p):
-            con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf_dir}/documents.parquet')"
+    )
     return con.execute(sql).df()
 
 
@@ -78,33 +76,3 @@ def test_mixture_schedule_oracle_parity(ray_session):
     assert _value_hash(got) == _value_hash(want)
     # mix_order is a permutation of 1..N
     assert sorted(got.mix_order) == list(range(1, len(got) + 1))
-
-
-def test_events_hourly_gapfill_parity_and_density(ray_session):
-    from safe_zone_ray.functions.windows import (
-        events_hourly,
-        events_hourly_gapfill,
-        events_hourly_gapfill_oracle_sql,
-    )
-
-    got = events_hourly_gapfill(SF_DIR).to_pandas()
-    want = _duck(SF_DIR, events_hourly_gapfill_oracle_sql())
-    assert len(got) == len(want)
-    assert _value_hash(got) == _value_hash(want)
-    # dense grid: every type has the identical full hour range
-    per_type = got.groupby("event_type").window_start
-    spans = per_type.agg(["min", "max", "count"])
-    assert spans["count"].nunique() == 1
-    assert spans["min"].nunique() == 1 and spans["max"].nunique() == 1
-    # at least one genuine zero-filled gap exists, and non-gap rows agree
-    # with the sparse hourly aggregate
-    assert (got.n_events == 0).any()
-    sparse = events_hourly(SF_DIR).to_pandas()
-    merged = got.merge(
-        sparse[["window_start", "event_type", "n_events"]],
-        on=["window_start", "event_type"],
-        how="left",
-        suffixes=("", "_sparse"),
-    )
-    filled = merged.n_events_sparse.fillna(0).astype(int)
-    assert (merged.n_events == filled).all()

@@ -11,8 +11,8 @@ from safe_zone_ray.functions.profile import (
     _stats_partial,
     documents_profile,
     documents_profile_oracle_sql,
-    events_profile,
-    events_profile_oracle_sql,
+    profile_oracle_sql,
+    table_profile,
 )
 
 
@@ -33,10 +33,11 @@ def test_events_profile_timestamp_double_parity(ray_session):
     CAST(.. AS VARCHAR) (both sides shortest-round-trip doubles and
     fraction-omitting ISO timestamps)."""
     sf = "/root/testdata/sf0.001"
-    got = events_profile(sf)
+    cols = ["event_id", "ts", "user_id", "event_type", "value", "props"]
+    got = table_profile(f"{sf}/events.parquet", cols)
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM '{sf}/events.parquet'")
-    want = con.execute(events_profile_oracle_sql()).fetch_arrow_table()
+    want = con.execute(profile_oracle_sql("events", cols)).fetch_arrow_table()
     assert got.to_pylist() == want.to_pylist()
 
 

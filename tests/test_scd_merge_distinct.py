@@ -1,6 +1,5 @@
-"""MERGE apply (functions/snapshot.snapshot_merge) and windowed exact COUNT
-DISTINCT (functions/windows.events_hourly_distinct_users): DuckDB hash
-parity at sf0.001 plus key-set invariants.
+"""MERGE apply (functions/snapshot.snapshot_merge): DuckDB hash parity at
+sf0.001 plus key-set invariants.
 """
 
 import hashlib
@@ -24,10 +23,9 @@ def _value_hash(df: pd.DataFrame) -> str:
 
 def _duck(sf_dir: str, sql: str) -> pd.DataFrame:
     con = duckdb.connect()
-    for t in ("events", "documents"):
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
-        )
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf_dir}/documents.parquet')"
+    )
     return con.execute(sql).df()
 
 
@@ -79,23 +77,3 @@ def test_snapshot_merge_consistent_with_diff(ray_session):
     ) | set(diff[diff.change == "insert"].doc_id)
     assert merged == expect
 
-
-# --------------------------------------------------------------------------
-# windowed exact COUNT DISTINCT
-# --------------------------------------------------------------------------
-
-
-def test_events_hourly_distinct_users_oracle_parity(ray_session):
-    from safe_zone_ray.functions.windows import (
-        events_hourly_distinct_users,
-        events_hourly_distinct_users_oracle_sql,
-    )
-
-    got = events_hourly_distinct_users(SF_DIR).to_pandas()
-    want = _duck(SF_DIR, events_hourly_distinct_users_oracle_sql())
-    assert len(got) == len(want)
-    assert _value_hash(got) == _value_hash(want)
-    # distinct <= total in every window, and at least one window collapses
-    # duplicate users (otherwise the distinct path isn't exercised)
-    assert (got.n_users <= got.n_events).all()
-    assert (got.n_users < got.n_events).any()
