@@ -68,7 +68,6 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     from safe_zone_ray.functions import (
         analytics,
-        bootstrap,
         dedup,
         outlinks,
         redirects,
@@ -418,10 +417,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "robots_crawl_audit": robots.robots_crawl_audit,
         "sitemap_coverage": robots.sitemap_coverage,
         "redirect_final_targets": redirects.redirect_final_targets,
-        "redirect_alias_groups": redirects.redirect_alias_groups,
-        "bootstrap_mean_chars": bootstrap.bootstrap_mean_chars,
-        "bootstrap_keep_rate": bootstrap.bootstrap_keep_rate,
-        "bootstrap_median_chars": bootstrap.bootstrap_median_chars,
         "incremental_dedup": dedup.incremental_dedup,
         "dup_weight_annotations": dedup.dup_weight_annotations,
         # rows-only (MinHash): fuzzy eval-set overlap via broadcast join
@@ -479,22 +474,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # exchanges (md5-identity occurrence rows -> drop markers -> doc
         # rebuild), text ships once; full DuckDB window-function oracle
         "global_line_dedup": textstats.global_line_dedup_scrub,
-        # per-GROUP top-k, combiner-first (<= k rows per batch per lang)
-        "longest_docs_per_lang": textstats.longest_docs_per_lang,
-        # per-source quota with explicit ROW_NUMBER rank (host-cap practice)
-        "per_source_quota": textstats.per_source_quota,
-        # ROLLUP grouping sets in ONE exchange (per-batch 3-level partials)
-        "source_lang_rollup": analytics.source_lang_rollup,
-        # PIVOT/crosstab: per-source row, per-lang count columns
-        "lang_count_matrix": analytics.lang_count_matrix,
         # global row_number + NTILE(10) via range-partition prefix sum
         "doc_token_deciles": analytics.doc_token_deciles,
         # windowed word co-occurrence + PMI (broadcast unigram resolution)
         "word_cooccurrence_pmi": analytics.word_cooccurrence_pmi,
-        # per-GROUP exact quantiles via the distinct-value counting histogram
-        "doc_length_quantiles_by_lang": analytics.doc_length_quantiles_by_lang,
-        # mergeable sufficient statistics: grouped Pearson r (exact int sums)
-        "doc_len_token_correlation": analytics.doc_len_token_correlation,
         # host link graph: corpus scan -> host-graph-sized weighted edges
         "host_link_edges": __import__(
             "safe_zone_ray.functions.graph", fromlist=["host_link_edges"]
@@ -503,8 +486,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_pagerank": __import__(
             "safe_zone_ray.functions.graph", fromlist=["host_pagerank"]
         ).host_pagerank,
-        # distributed percent_rank window (histogram + broadcast CDF)
-        "doc_length_percentile": analytics.doc_length_percentile,
         # distributed table profiler: per-column rows/nulls/EXACT distinct/
         # min/max in two streaming passes (digest exchange for distinct)
         "documents_profile": __import__(
@@ -522,45 +503,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
             "safe_zone_ray.functions.profile",
             fromlist=["documents_profile_approx"],
         ).documents_profile_approx,
-        # distributed INTERSECT/EXCEPT in one flag-partial exchange
-        "length_setops_en_de": __import__(
-            "safe_zone_ray.functions.setops", fromlist=["length_setops_en_de"]
-        ).length_setops_en_de,
-        # nested-type coverage: list<float> lambda pipeline, bit-exact twin
-        "embedding_norm_stats": __import__(
-            "safe_zone_ray.functions.liststats", fromlist=["embedding_norm_stats"]
-        ).embedding_norm_stats,
-        # UNNEST + GROUP BY ordinality, combiner-first, exact int64 micro
-        "embedding_dim_sums": __import__(
-            "safe_zone_ray.functions.liststats", fromlist=["embedding_dim_sums"]
-        ).embedding_dim_sums,
-        # full grouping-set lattice (CUBE), one exchange like the ROLLUP
-        "source_lang_cube": analytics.source_lang_cube,
         # weighted Bernoulli corpus subsample — no sort, IEEE-exact oracle
         "weighted_doc_sample": textstats.weighted_doc_sample,
-        # UT1-style domain-SUFFIX blocklist (subdomain matching)
-        "host_suffix_blocklist": __import__(
-            "safe_zone_ray.functions.urlstats", fromlist=["host_suffix_blocklist"]
-        ).host_suffix_blocklist,
-        # per-host crawl cadence (recrawl-policy audit: median/min/max
-        # inter-capture gap), oracle-checked with exact median parity
-        "host_crawl_cadence": __import__(
-            "safe_zone_ray.functions.urlstats", fromlist=["host_crawl_cadence"]
-        ).host_crawl_cadence,
-        # host-concentration (skew) audit: entropy in per-host integer
-        # micro-units + top-k shares, oracle-checked
-        "host_skew_report": __import__(
-            "safe_zone_ray.functions.urlstats", fromlist=["host_skew_report"]
-        ).host_skew_report,
         # Flesch reading-ease quality feature, oracle-checked
         "flesch_scores": __import__(
             "safe_zone_ray.functions.readability", fromlist=["flesch_scores"]
         ).flesch_scores,
-        # cross-source vocabulary overlap (pre-mixing audit: bitmask fold
-        # over one vocabulary-sized exchange), oracle-checked
-        "source_vocab_overlap": __import__(
-            "safe_zone_ray.functions.vocab_overlap", fromlist=["source_vocab_overlap"]
-        ).source_vocab_overlap,
         # synchronous label-propagation communities on the host graph
         # (deterministic tie-break), oracle-checked via unrolled CTEs
         "host_communities": __import__(
@@ -616,14 +564,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "multi_signal_dedup_clusters": __import__(
             "safe_zone_ray.functions.dedup", fromlist=["multi_signal_dedup_clusters"]
         ).multi_signal_dedup_clusters,
-        # exact substring dedup (Lee et al. 2022): both entries oracle-checked,
-        # the scrub compares the actual spliced text
+        # exact substring dedup (Lee et al. 2022), oracle-checked
         "exact_substring_dup_stats": __import__(
             "safe_zone_ray.functions.substring", fromlist=["exact_substring_dup_stats"]
         ).exact_substring_dup_stats,
-        "exact_substring_scrub": __import__(
-            "safe_zone_ray.functions.substring", fromlist=["exact_substring_scrub"]
-        ).exact_substring_scrub,
         # snapshot DIFF / CDC reconciliation (one-exchange digest diff),
         # oracle-checked against a FULL OUTER JOIN twin
         "snapshot_diff": __import__(
@@ -641,10 +585,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "incremental_lang_stats": __import__(
             "safe_zone_ray.functions.snapshot", fromlist=["incremental_lang_stats"]
         ).incremental_lang_stats,
-        # depth-capped BFS from a deterministic seed (recursive-CTE twin)
-        "host_bfs_depth": __import__(
-            "safe_zone_ray.functions.graph", fromlist=["host_bfs_depth"]
-        ).host_bfs_depth,
         # flagship-family extension: PII type co-occurrence, oracle-checked
         # via the generated decisions SQL chain
         "pii_type_cooccurrence": q_pii_type_cooccurrence,
@@ -654,11 +594,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "mixture_schedule": __import__(
             "safe_zone_ray.functions.mixture", fromlist=["mixture_schedule"]
         ).mixture_schedule,
-        # distribution-drift monitor (per-language PSI base vs snapshot;
-        # fused base+Δ pass, language-sized exchange), oracle-checked
-        "snapshot_lang_drift": __import__(
-            "safe_zone_ray.functions.drift", fromlist=["snapshot_lang_drift"]
-        ).snapshot_lang_drift,
         # k-anonymity / l-diversity release audit (combiner-first,
         # class-sized exchange), oracle-checked
         "k_anonymity_report": __import__(
@@ -669,21 +604,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "split_ngram_leakage": __import__(
             "safe_zone_ray.functions.leakage", fromlist=["split_ngram_leakage"]
         ).split_ngram_leakage,
-        # fill-in-the-middle PSM rewrite (shuffle-free, doc_id-deterministic
-        # cuts), oracle-checked
-        "fim_transform": __import__(
-            "safe_zone_ray.functions.fim", fromlist=["fim_transform"]
-        ).fim_transform,
         # exact tie-corrected ROC-AUC via bounded score-histogram exchange,
         # oracle-checked
         "classifier_auc": __import__(
             "safe_zone_ray.functions.evalmetrics", fromlist=["classifier_auc"]
         ).classifier_auc,
-        # reliability-diagram bins (combiner-first, ≤10-row exchange),
-        # oracle-checked
-        "calibration_bins": __import__(
-            "safe_zone_ray.functions.evalmetrics", fromlist=["calibration_bins"]
-        ).calibration_bins,
         # ftfy-class encoding-damage audit (shuffle-free RE2 counts),
         # oracle-checked
         "mojibake_stats": __import__(
@@ -704,11 +629,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lang_char_budget_select": __import__(
             "safe_zone_ray.functions.budget", fromlist=["lang_char_budget_select"]
         ).lang_char_budget_select,
-        # degree-ordered distributed triangle counting on the host graph,
-        # oracle-checked against a three-way self-join twin
-        "host_triangles": __import__(
-            "safe_zone_ray.functions.graph", fromlist=["host_triangles"]
-        ).host_triangles,
         # per-language tokenizer fertility audit (BPE-ish pre-tokens per
         # whitespace word), oracle-checked — combiner-first integer sums
         "token_fertility_by_lang": textstats.token_fertility_by_lang,
@@ -718,14 +638,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bitext_mined_pairs": __import__(
             "safe_zone_ray.functions.bitext", fromlist=["bitext_mined_pairs"]
         ).bitext_mined_pairs,
-        # deterministic train/valid/test split (Knuth hash bands) + its
-        # stratification audit, both oracle-checked (exact integer twin)
+        # deterministic train/valid/test split (Knuth hash bands),
+        # oracle-checked (exact integer twin)
         "train_split_assignment": __import__(
             "safe_zone_ray.functions.split", fromlist=["train_split_assignment"]
         ).train_split_assignment,
-        "split_lang_balance": __import__(
-            "safe_zone_ray.functions.split", fromlist=["split_lang_balance"]
-        ).split_lang_balance,
         # per-doc TF-IDF top-k terms (keyword extraction), oracle-checked:
         # ONE vocabulary-sized df exchange, then a shuffle-free scored pass
         "tfidf_top_terms": __import__(
@@ -759,11 +676,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "good_turing_report": __import__(
             "safe_zone_ray.functions.corpusstats", fromlist=["good_turing_report"]
         ).good_turing_report,
-        # URL path-template mining (crawl-trap / pagination-mill detection),
-        # oracle-checked — template-cardinality-bounded exchange
-        "url_path_templates": __import__(
-            "safe_zone_ray.functions.urlstats", fromlist=["url_path_templates"]
-        ).url_path_templates,
         # per-doc type–token ratio (lexical diversity; two in-batch Arrow
         # group-bys, shuffle-free), oracle-checked
         "doc_ttr": __import__(
@@ -780,11 +692,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "source_token_kl": __import__(
             "safe_zone_ray.functions.srcdrift", fromlist=["source_token_kl"]
         ).source_token_kl,
-        # Adamic–Adar link prediction on the host graph (hub-suppressed
-        # wedge expansion, integer micro weights), oracle-checked
-        "host_adamic_adar": __import__(
-            "safe_zone_ray.functions.linkpred", fromlist=["host_adamic_adar"]
-        ).host_adamic_adar,
     }
     return {k: built[k] for k in _query_order(built)}
 
@@ -857,15 +764,6 @@ def _query_order(built: dict) -> list[str]:
     ]
     assert len(window) == 50, len(window)
     tail = [
-        "redirect_alias_groups",
-        "bootstrap_mean_chars",
-        "bootstrap_keep_rate",
-        "bootstrap_median_chars",
-        "exact_substring_scrub",
-        "doc_length_percentile",
-        "split_lang_balance",
-        "snapshot_lang_drift",
-        "host_crawl_cadence",
         "quality_filter_decisions",
         "kept_corpus",
         "per_host_keep_stats",
@@ -912,27 +810,8 @@ def _query_order(built: dict) -> list[str]:
         "normalize_text_nfc",
         "doc_sample_hash",
         "long_docs",
-        "longest_docs_per_lang",
-        "per_source_quota",
-        "source_lang_rollup",
-        "lang_count_matrix",
-        "doc_length_quantiles_by_lang",
-        "doc_len_token_correlation",
         "host_link_edges",
-        "host_suffix_blocklist",
-        "length_setops_en_de",
-        "embedding_norm_stats",
-        "embedding_dim_sums",
-        "source_lang_cube",
-        "host_triangles",
-        "host_skew_report",
-        "source_vocab_overlap",
-        "host_bfs_depth",
         "pii_type_cooccurrence",
-        "fim_transform",
-        "calibration_bins",
-        "url_path_templates",
-        "host_adamic_adar",
         "benchmark_fuzzy_contamination",
         "documents_profile_approx",
         "compression_ratio_stats",
@@ -993,12 +872,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     flagship["redirect_final_targets"] = __import__(
         "safe_zone_ray.functions.redirects", fromlist=["redirect_final_targets_oracle_sql"]
     ).redirect_final_targets_oracle_sql(pages_glob_for(sf_dir))
-    flagship["redirect_alias_groups"] = __import__(
-        "safe_zone_ray.functions.redirects", fromlist=["redirect_alias_groups_oracle_sql"]
-    ).redirect_alias_groups_oracle_sql(pages_glob_for(sf_dir))
-    flagship["bootstrap_keep_rate"] = __import__(
-        "safe_zone_ray.functions.bootstrap", fromlist=["bootstrap_keep_rate_oracle_sql"]
-    ).bootstrap_keep_rate_oracle_sql(pages_glob_for(sf_dir))
     from safe_zone_ray.functions.textstats import (
         doc_chunks_oracle_sql,
         normalize_text_nfc_oracle_sql,
@@ -1038,43 +911,24 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     from safe_zone_ray.functions.textstats import global_line_dedup_oracle_sql
 
     flagship["global_line_dedup"] = global_line_dedup_oracle_sql()
-    from safe_zone_ray.functions.textstats import longest_docs_per_lang_oracle_sql
-
-    flagship["longest_docs_per_lang"] = longest_docs_per_lang_oracle_sql()
-    from safe_zone_ray.functions.textstats import per_source_quota_oracle_sql
-
-    flagship["per_source_quota"] = per_source_quota_oracle_sql()
     from safe_zone_ray.functions import analytics as _analytics
 
-    flagship["source_lang_rollup"] = _analytics.source_lang_rollup_oracle_sql()
-    flagship["lang_count_matrix"] = _analytics.lang_count_matrix_oracle_sql()
     flagship["doc_token_deciles"] = _analytics.doc_token_deciles_oracle_sql()
     flagship["word_cooccurrence_pmi"] = _analytics.word_cooccurrence_pmi_oracle_sql()
-    flagship["doc_length_quantiles_by_lang"] = (
-        _analytics.doc_length_quantiles_by_lang_oracle_sql()
-    )
-    flagship["doc_len_token_correlation"] = (
-        _analytics.doc_len_token_correlation_oracle_sql()
-    )
     from safe_zone_ray.functions import graph as _graph
 
     flagship["host_link_edges"] = _graph.host_link_edges_oracle_sql()
     flagship["host_pagerank"] = _graph.host_pagerank_oracle_sql()
     from safe_zone_ray.functions import textstats as _textstats
 
-    flagship["doc_length_percentile"] = _analytics.doc_length_percentile_oracle_sql()
     _profile = __import__(
         "safe_zone_ray.functions.profile", fromlist=["documents_profile_oracle_sql"]
     )
     flagship["documents_profile"] = _profile.documents_profile_oracle_sql()
-    _substring = __import__(
+    flagship["exact_substring_dup_stats"] = __import__(
         "safe_zone_ray.functions.substring",
         fromlist=["exact_substring_dup_stats_oracle_sql"],
-    )
-    flagship["exact_substring_dup_stats"] = (
-        _substring.exact_substring_dup_stats_oracle_sql()
-    )
-    flagship["exact_substring_scrub"] = _substring.exact_substring_scrub_oracle_sql()
+    ).exact_substring_dup_stats_oracle_sql()
     flagship["snapshot_diff"] = __import__(
         "safe_zone_ray.functions.snapshot", fromlist=["snapshot_diff_oracle_sql"]
     ).snapshot_diff_oracle_sql()
@@ -1085,15 +939,9 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "safe_zone_ray.functions.snapshot",
         fromlist=["incremental_lang_stats_oracle_sql"],
     ).incremental_lang_stats_oracle_sql()
-    flagship["host_bfs_depth"] = __import__(
-        "safe_zone_ray.functions.graph", fromlist=["host_bfs_depth_oracle_sql"]
-    ).host_bfs_depth_oracle_sql()
     flagship["mixture_schedule"] = __import__(
         "safe_zone_ray.functions.mixture", fromlist=["mixture_schedule_oracle_sql"]
     ).mixture_schedule_oracle_sql()
-    flagship["snapshot_lang_drift"] = __import__(
-        "safe_zone_ray.functions.drift", fromlist=["snapshot_lang_drift_oracle_sql"]
-    ).snapshot_lang_drift_oracle_sql()
     flagship["k_anonymity_report"] = __import__(
         "safe_zone_ray.functions.privacy", fromlist=["k_anonymity_oracle_sql"]
     ).k_anonymity_oracle_sql()
@@ -1101,15 +949,9 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "safe_zone_ray.functions.leakage",
         fromlist=["split_ngram_leakage_oracle_sql"],
     ).split_ngram_leakage_oracle_sql()
-    flagship["fim_transform"] = __import__(
-        "safe_zone_ray.functions.fim", fromlist=["fim_transform_oracle_sql"]
-    ).fim_transform_oracle_sql()
     flagship["classifier_auc"] = __import__(
         "safe_zone_ray.functions.evalmetrics", fromlist=["classifier_auc_oracle_sql"]
     ).classifier_auc_oracle_sql()
-    flagship["calibration_bins"] = __import__(
-        "safe_zone_ray.functions.evalmetrics", fromlist=["calibration_bins_oracle_sql"]
-    ).calibration_bins_oracle_sql()
     flagship["mojibake_stats"] = __import__(
         "safe_zone_ray.functions.encoding", fromlist=["mojibake_stats_oracle_sql"]
     ).mojibake_stats_oracle_sql()
@@ -1135,10 +977,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "safe_zone_ray.functions.corpusstats",
         fromlist=["good_turing_report_oracle_sql"],
     ).good_turing_report_oracle_sql()
-    flagship["url_path_templates"] = __import__(
-        "safe_zone_ray.functions.urlstats",
-        fromlist=["url_path_templates_oracle_sql"],
-    ).url_path_templates_oracle_sql(pages_glob_for(sf_dir))
     flagship["doc_ttr"] = __import__(
         "safe_zone_ray.functions.lexical", fromlist=["doc_ttr_oracle_sql"]
     ).doc_ttr_oracle_sql()
@@ -1150,10 +988,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "safe_zone_ray.functions.srcdrift",
         fromlist=["source_token_kl_oracle_sql"],
     ).source_token_kl_oracle_sql()
-    flagship["host_adamic_adar"] = __import__(
-        "safe_zone_ray.functions.linkpred",
-        fromlist=["host_adamic_adar_oracle_sql"],
-    ).host_adamic_adar_oracle_sql()
     flagship["pii_type_cooccurrence"] = sql_for(
         "SELECT a.type AS type_a, b.type AS type_b,"
         " CAST(count(*) AS BIGINT) AS n_docs"
@@ -1166,39 +1000,13 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "safe_zone_ray.functions.budget",
         fromlist=["lang_char_budget_select_oracle_sql"],
     ).lang_char_budget_select_oracle_sql()
-    flagship["host_triangles"] = __import__(
-        "safe_zone_ray.functions.graph", fromlist=["host_triangles_oracle_sql"]
-    ).host_triangles_oracle_sql()
     flagship["documents_constraint_report"] = (
         _profile.documents_constraint_report_oracle_sql()
     )
-    flagship["length_setops_en_de"] = __import__(
-        "safe_zone_ray.functions.setops", fromlist=["length_setops_en_de_oracle_sql"]
-    ).length_setops_en_de_oracle_sql()
-    _liststats = __import__(
-        "safe_zone_ray.functions.liststats",
-        fromlist=["embedding_norm_stats_oracle_sql"],
-    )
-    flagship["embedding_norm_stats"] = _liststats.embedding_norm_stats_oracle_sql()
-    flagship["embedding_dim_sums"] = _liststats.embedding_dim_sums_oracle_sql()
-    flagship["source_lang_cube"] = _analytics.source_lang_cube_oracle_sql()
     flagship["weighted_doc_sample"] = _textstats.weighted_doc_sample_oracle_sql()
-    flagship["host_suffix_blocklist"] = __import__(
-        "safe_zone_ray.functions.urlstats", fromlist=["host_suffix_blocklist_oracle_sql"]
-    ).host_suffix_blocklist_oracle_sql(pages_glob_for(sf_dir))
-    flagship["host_crawl_cadence"] = __import__(
-        "safe_zone_ray.functions.urlstats", fromlist=["host_crawl_cadence_oracle_sql"]
-    ).host_crawl_cadence_oracle_sql(pages_glob_for(sf_dir))
-    flagship["host_skew_report"] = __import__(
-        "safe_zone_ray.functions.urlstats", fromlist=["host_skew_report_oracle_sql"]
-    ).host_skew_report_oracle_sql(pages_glob_for(sf_dir))
     flagship["flesch_scores"] = __import__(
         "safe_zone_ray.functions.readability", fromlist=["flesch_scores_oracle_sql"]
     ).flesch_scores_oracle_sql()
-    flagship["source_vocab_overlap"] = __import__(
-        "safe_zone_ray.functions.vocab_overlap",
-        fromlist=["source_vocab_overlap_oracle_sql"],
-    ).source_vocab_overlap_oracle_sql()
     flagship["host_communities"] = __import__(
         "safe_zone_ray.functions.graph", fromlist=["host_communities_oracle_sql"]
     ).host_communities_oracle_sql()
@@ -1210,11 +1018,9 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     flagship["tfidf_top_terms"] = __import__(
         "safe_zone_ray.functions.tfidf", fromlist=["tfidf_oracle_sql"]
     ).tfidf_oracle_sql()
-    _split = __import__(
+    flagship["train_split_assignment"] = __import__(
         "safe_zone_ray.functions.split", fromlist=["split_assignment_oracle_sql"]
-    )
-    flagship["train_split_assignment"] = _split.split_assignment_oracle_sql()
-    flagship["split_lang_balance"] = _split.split_lang_balance_oracle_sql()
+    ).split_assignment_oracle_sql()
     flagship["bitext_mined_pairs"] = __import__(
         "safe_zone_ray.functions.bitext", fromlist=["bitext_oracle_sql"]
     ).bitext_oracle_sql()
@@ -1297,15 +1103,6 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "outlink_host_edges": __import__(
             "safe_zone_ray.functions.outlinks", fromlist=["outlink_host_edges_oracle_sql"]
         ).outlink_host_edges_oracle_sql(),
-        # bootstrap CI on a NONLINEAR statistic (weighted median from the
-        # distinct-value histogram, 32 map_groups medians)
-        "bootstrap_median_chars": __import__(
-            "safe_zone_ray.functions.bootstrap", fromlist=["bootstrap_median_chars_oracle_sql"]
-        ).bootstrap_median_chars_oracle_sql(),
-        # one-pass Poisson-bootstrap CI replicates (exact integer weights)
-        "bootstrap_mean_chars": __import__(
-            "safe_zone_ray.functions.bootstrap", fromlist=["bootstrap_mean_chars_oracle_sql"]
-        ).bootstrap_mean_chars_oracle_sql(),
         # duplicate-cluster size distribution over the same digest groupby
         "dup_cluster_size_histogram": f"""
             SELECT n_dups AS group_size,

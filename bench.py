@@ -208,12 +208,8 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         timed("bitext_mined_pairs", __import__(
             "safe_zone_ray.functions.bitext", fromlist=["bitext_mined_pairs"]
         ).bitext_mined_pairs)
-        # round-4 continuation day-3: per-host crawl cadence (payload-free
-        # host exchange + per-group sorted diffs), Zipf fit (vocabulary
-        # count exchange + partial top-k)
-        timed("host_crawl_cadence", __import__(
-            "safe_zone_ray.functions.urlstats", fromlist=["host_crawl_cadence"]
-        ).host_crawl_cadence)
+        # round-4 continuation day-3: Zipf fit (vocabulary count exchange +
+        # partial top-k)
         timed("zipf_law_fit", __import__(
             "safe_zone_ray.functions.corpusstats", fromlist=["zipf_law_fit"]
         ).zipf_law_fit)
@@ -260,9 +256,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False, variants:
         timed("good_turing_report", __import__(
             "safe_zone_ray.functions.corpusstats", fromlist=["good_turing_report"]
         ).good_turing_report)
-        timed("url_path_templates", __import__(
-            "safe_zone_ray.functions.urlstats", fromlist=["url_path_templates"]
-        ).url_path_templates)
         timed("doc_ttr", __import__(
             "safe_zone_ray.functions.lexical", fromlist=["doc_ttr"]
         ).doc_ttr)

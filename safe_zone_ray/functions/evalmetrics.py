@@ -1,17 +1,16 @@
 """Distributed classifier-evaluation metrics: exact tie-corrected ROC-AUC
-and calibration (reliability) bins, ORACLE-CHECKED.
+and reciprocal-rank fusion of quality signals, ORACLE-CHECKED.
 
 Every quality-filter deployment evaluates its scorer against held-out
 labels before trusting it to gate a corpus (Fawcett 2006 "An introduction
-to ROC analysis"; Guo et al. 2017 on calibration). The evaluated pairing
+to ROC analysis"). The evaluated pairing
 here is fully deterministic so DuckDB can replay it end-to-end: the score
 is the English-stopword density of the document (the classic langid /
 quality feature — `stopword_hits / n_words` in integer micro-units, the
 same regex constants `textstats.EN_STOPWORD_PATTERN` / `WORD_REGEX` the
 `doc_quality_stats` oracle already pins) and the label is whether the
 document's `lang` claim is English. AUC answers "does stopword density
-discriminate English documents?"; the calibration bins show where the
-score's probability mass sits per class. (On the synthetic test tables
+discriminate English documents?". (On the synthetic test tables
 the generator draws text independently of `lang`, so AUC lands near 0.5
 there — the planted-truth test pins the discrimination semantics.)
 
@@ -31,9 +30,6 @@ Distributed shape — score-histogram exchange, never a global sort:
    (window-function cumulative sum over the same histogram) hashes
    identically — no float rounding anywhere.
 
-Calibration bins use the same scored pass, bucketing the micro-score into
-10 fixed-width bins with per-batch ≤10-row partials.
-
 Reference parity: no reference counterpart (the Go service has no model
 evaluation surface); beyond-reference training-data operator.
 """
@@ -48,7 +44,6 @@ import ray.data
 from safe_zone_ray.functions.textstats import EN_STOPWORD_PATTERN, WORD_REGEX
 
 MICRO = 1_000_000
-N_BINS = 10
 POS_LANG = "en"
 
 
@@ -144,71 +139,6 @@ def classifier_auc_oracle_sql() -> str:
                CAST(SUM(pos * (2 * cneg + neg)) * {MICRO}
                     // (2 * SUM(pos) * SUM(neg)) AS BIGINT) AS auc_micro
         FROM cum
-    """
-
-
-def calibration_bins(sf_dir: str) -> pa.Table:
-    """(bin, n_docs, n_pos, sum_score_micro) per fixed-width score decile
-    (bin = min(score // 1e5, 9)) — the reliability-diagram table: observed
-    positive rate n_pos/n_docs vs mean score sum_score_micro/n_docs/1e6."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = _scored_partial(batch)
-        score = h.column("score").to_numpy(zero_copy_only=False)
-        n = (h.column("n_pos").to_numpy() + h.column("n_neg").to_numpy()).astype(
-            np.int64
-        )
-        t = pa.table(
-            {
-                "bin": pa.array(np.minimum(score // (MICRO // N_BINS), N_BINS - 1)),
-                "n_docs": pa.array(n),
-                "n_pos": h.column("n_pos"),
-                "sum_score_micro": pa.array(score * n),
-            }
-        )
-        return (
-            t.group_by("bin")
-            .aggregate([("n_docs", "sum"), ("n_pos", "sum"), ("sum_score_micro", "sum")])
-            .rename_columns(["bin", "n_docs", "n_pos", "sum_score_micro"])
-        )
-
-    rows = (
-        _read(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bin")
-        .sum(["n_docs", "n_pos", "sum_score_micro"])
-        .take_all()  # ≤ N_BINS rows
-    )
-    rows.sort(key=lambda r: r["bin"])
-    return pa.table(
-        {
-            "bin": pa.array([r["bin"] for r in rows], pa.int64()),
-            "n_docs": pa.array([r["sum(n_docs)"] for r in rows], pa.int64()),
-            "n_pos": pa.array([r["sum(n_pos)"] for r in rows], pa.int64()),
-            "sum_score_micro": pa.array(
-                [r["sum(sum_score_micro)"] for r in rows], pa.int64()
-            ),
-        }
-    )
-
-
-def calibration_bins_oracle_sql() -> str:
-    stop_sql = EN_STOPWORD_PATTERN.replace("'", "''")
-    return f"""
-        WITH scored AS (
-          SELECT (CAST(length(regexp_extract_all(lower(text), '{stop_sql}')) AS BIGINT)
-                    * {MICRO})
-                   // GREATEST(CAST(length(regexp_extract_all(text, '{WORD_REGEX}')) AS BIGINT), 1)
-                   AS score,
-                 CAST(lang = '{POS_LANG}' AS BIGINT) AS is_pos
-          FROM documents
-        )
-        SELECT CAST(LEAST(score // {MICRO // N_BINS}, {N_BINS - 1}) AS BIGINT) AS bin,
-               CAST(count(*) AS BIGINT) AS n_docs,
-               CAST(SUM(is_pos) AS BIGINT) AS n_pos,
-               CAST(SUM(score) AS BIGINT) AS sum_score_micro
-        FROM scored
-        GROUP BY 1 ORDER BY 1
     """
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -216,177 +215,6 @@ def host_pagerank_oracle_sql(iters: int = PR_ITERS) -> str:
     )
 
 
-def host_triangles(sf_dir: str) -> ray.data.Dataset:
-    """Per-host TRIANGLE COUNT of the (undirected, simple) host graph —
-    the node-clustering primitive behind community detection and
-    link-spam heuristics.
-
-    Classic distributed triangle counting with DEGREE ORDERING (the
-    node-iterator++ / MapReduce "wedge check" algorithm): orient every
-    distinct undirected edge from its lower- to its higher-(degree, id)
-    endpoint — every node's OUT-degree is then bounded near sqrt(|E|) —
-    and a node u's out-neighbor pairs (wedges) are exactly the candidate
-    triangles in which u is the smallest-ranked corner, so each triangle
-    is generated and counted exactly once.
-
-    Stages: the corpus-sized work is ``host_link_edges``' one exchange;
-    everything after runs on the AGGREGATED host graph. Hosts map to
-    dense int ids (the sorted-host index, same convention as the SQL
-    twin); degrees come from one node-sized groupby; wedges are emitted
-    per out-neighborhood with a vectorized ``np.triu_indices`` expansion
-    inside ``groupby(u).map_groups``; the wedge→edge membership check is
-    a stateless ``np.isin`` against the oriented edge set packed into
-    int64 and broadcast once via ``ray.put`` (host-GRAPH-sized — for an
-    edge set too large to broadcast, the documented fallback is the house
-    union+bucketed-groupby join of wedges against edges on the packed
-    pair key). Output: (host, n_triangles) for every host in at least
-    one triangle.
-    """
-    hosts = _hosts(sf_dir)
-    n_hosts = len(hosts)
-    hidx = {h: i for i, h in enumerate(hosts)}
-    idx_ref = ray.put(hidx)
-    hosts_ref = ray.put(np.array(hosts, dtype=object))
-
-    def norm(batch: pa.Table) -> pa.Table:
-        hm = ray.get(idx_ref)
-        nrows = batch.num_rows
-        s = np.fromiter((hm[v] for v in batch.column("src").to_pylist()), np.int64, nrows)
-        d = np.fromiter((hm[v] for v in batch.column("dst").to_pylist()), np.int64, nrows)
-        keep = s != d
-        return pa.table(
-            {
-                "a": pa.array(np.minimum(s[keep], d[keep])),
-                "b": pa.array(np.maximum(s[keep], d[keep])),
-            }
-        )
-
-    und = (
-        host_link_edges(sf_dir)
-        .map_batches(norm, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .count()
-        .map_batches(lambda t: t.select(["a", "b"]), batch_format="pyarrow")
-        .materialize()  # host-graph-sized; reused for degrees + orientation
-    )
-
-    deg = np.zeros(n_hosts, np.int64)
-    for col in ("a", "b"):
-        for row in und.groupby(col).count().take_all():
-            deg[int(row[col])] += int(row["count()"])
-    order = np.lexsort((np.arange(n_hosts), deg))
-    rank = np.empty(n_hosts, np.int64)
-    rank[order] = np.arange(n_hosts)
-    rank_ref = ray.put(rank)
-
-    def orient(batch: pa.Table) -> pa.Table:
-        rr = ray.get(rank_ref)
-        a = batch.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
-        flip = rr[a] > rr[b]
-        return pa.table(
-            {"u": pa.array(np.where(flip, b, a)), "v": pa.array(np.where(flip, a, b))}
-        )
-
-    oriented = und.map_batches(orient, batch_format="pyarrow").materialize()
-    packed = np.unique(
-        np.array(
-            [int(r["u"]) * n_hosts + int(r["v"]) for r in oriented.take_all()],
-            dtype=np.int64,
-        )
-    )
-    edges_ref = ray.put(packed)
-
-    def wedges(group: pa.Table) -> pa.Table:
-        rr = ray.get(rank_ref)
-        u = int(group.column("u")[0].as_py())
-        vs = group.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-        vs = vs[np.argsort(rr[vs], kind="stable")]
-        if len(vs) < 2:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64())] * 3, names=["x", "y", "w"]
-            )
-        i, j = np.triu_indices(len(vs), 1)
-        return pa.table(
-            {
-                "x": pa.array(vs[i]),
-                "y": pa.array(vs[j]),
-                "w": pa.array(np.full(len(i), u, np.int64)),
-            }
-        )
-
-    def mark(batch: pa.Table) -> pa.Table:
-        es = ray.get(edges_ref)
-        x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.int64)
-        y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = np.isin(x * n_hosts + y, es)
-        return batch.filter(pa.array(keep))
-
-    def unpivot(batch: pa.Table) -> pa.Table:
-        cols = [
-            batch.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
-            for c in ("x", "y", "w")
-        ]
-        return pa.table({"node": pa.array(np.concatenate(cols))})
-
-    counts = (
-        oriented.groupby("u")
-        .map_groups(wedges, batch_format="pyarrow")
-        .map_batches(mark, batch_format="pyarrow")
-        .map_batches(unpivot, batch_format="pyarrow")
-        .groupby("node")
-        .count()
-    )
-
-    def to_host(batch: pa.Table) -> pa.Table:
-        harr = ray.get(hosts_ref)
-        nodes = batch.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "host": pa.array(harr[nodes], pa.string()),
-                "n_triangles": pc.cast(batch.column("count()"), pa.int64()),
-            }
-        )
-
-    return counts.map_batches(to_host, batch_format="pyarrow")
-
-
-def host_triangles_oracle_sql() -> str:
-    return f"""
-WITH hosts AS (
-  SELECT source AS node,
-         row_number() OVER (ORDER BY source) - 1 AS idx
-  FROM (SELECT DISTINCT source FROM documents)
-),
-e0 AS (
-  SELECT d.source AS src,
-         (d.doc_id * {EDGE_SPREAD}) % {EDGE_PRIME} % (SELECT count(*) FROM hosts) AS dsti
-  FROM documents d
-),
-edges AS (
-  SELECT e0.src, h.node AS dst
-  FROM e0 JOIN hosts h ON h.idx = e0.dsti
-),
-und AS (
-  SELECT DISTINCT LEAST(src, dst) AS a, GREATEST(src, dst) AS b
-  FROM edges WHERE src <> dst
-),
-tri AS (
-  SELECT e1.a AS x, e1.b AS y, e2.b AS z
-  FROM und e1
-  JOIN und e2 ON e2.a = e1.b
-  JOIN und e3 ON e3.a = e1.a AND e3.b = e2.b
-),
-tn AS (
-  SELECT x AS host FROM tri
-  UNION ALL SELECT y FROM tri
-  UNION ALL SELECT z FROM tri
-)
-SELECT host, CAST(count(*) AS BIGINT) AS n_triangles
-FROM tn GROUP BY host
-"""
-
-
 LPA_ITERS = 5
 
 
@@ -501,85 +329,3 @@ def host_communities_oracle_sql(iters: int = LPA_ITERS) -> str:
         + ",\n".join(ctes)
         + f"\nSELECT node AS host, label AS community FROM l{iters}"
     )
-
-
-BFS_MAX_DEPTH = 6
-
-
-def host_bfs_depth(sf_dir: str, max_depth: int = BFS_MAX_DEPTH) -> pa.Table:
-    """Depth-capped BFS over the host graph from a deterministic seed (the
-    lexicographically smallest host): (host, depth) for every host reachable
-    within ``max_depth`` hops, depth = exact shortest hop count — the
-    reachability/traversal primitive behind crawl-frontier auditing ("how
-    far does the link graph spread from this seed?").
-
-    Shape per round (the ``host_pagerank``/``host_communities`` contract):
-    the current frontier (host-graph-bounded) broadcasts via ``ray.put``;
-    one edge-stream ``map_batches`` with a per-batch distinct-dst combiner
-    feeds ONE host-graph-sized ``groupby(dst)`` exchange; the driver merges
-    newly reached hosts. Rounds are bounded by ``max_depth``; corpus-sized
-    work happens once, inside ``host_link_edges``. The SQL twin is a
-    recursive CTE whose UNION dedup + depth guard terminates identically,
-    with min(depth) recovering the same shortest distances.
-    """
-    edges = host_link_edges(sf_dir).materialize()  # host-graph-sized
-    hosts = _hosts(sf_dir)
-    seed = hosts[0]  # sorted → lexicographically smallest
-    depth: dict[str, int] = {seed: 0}
-
-    for r in range(max_depth):
-        frontier = frozenset(v for v, d in depth.items() if d == r)
-        if not frontier:
-            break
-        f_ref = ray.put(frontier)
-
-        def reached(batch: pa.Table, _f=f_ref) -> pa.Table:
-            f = ray.get(_f)
-            src = batch.column("src").to_pylist()
-            mask = pa.array([s in f for s in src])
-            dst = batch.column("dst").filter(mask)
-            return pa.table({"dst": pc.unique(dst)})
-
-        rows = (
-            edges.map_batches(reached, batch_format="pyarrow")
-            .groupby("dst")
-            .count()
-            .take_all()  # host-graph-sized, same bound as host_pagerank
-        )
-        for row in rows:
-            depth.setdefault(row["dst"], r + 1)
-
-    order = sorted(depth)
-    return pa.table(
-        {
-            "host": pa.array(order, pa.string()),
-            "depth": pa.array([depth[h] for h in order], pa.int64()),
-        }
-    )
-
-
-def host_bfs_depth_oracle_sql(max_depth: int = BFS_MAX_DEPTH) -> str:
-    return f"""
-WITH RECURSIVE hosts AS (
-  SELECT source AS node,
-         row_number() OVER (ORDER BY source) - 1 AS idx
-  FROM (SELECT DISTINCT source FROM documents)
-),
-e0 AS (
-  SELECT d.source AS src,
-         (d.doc_id * {EDGE_SPREAD}) % {EDGE_PRIME} % (SELECT count(*) FROM hosts) AS dsti
-  FROM documents d
-),
-edges AS (
-  SELECT DISTINCT e0.src, h.node AS dst
-  FROM e0 JOIN hosts h ON h.idx = e0.dsti
-),
-bfs AS (
-  SELECT (SELECT min(node) FROM hosts) AS host, 0 AS depth
-  UNION
-  SELECT e.dst AS host, b.depth + 1 AS depth
-  FROM bfs b JOIN edges e ON e.src = b.host
-  WHERE b.depth < {max_depth}
-)
-SELECT host, CAST(min(depth) AS BIGINT) AS depth FROM bfs GROUP BY host
-"""

@@ -183,30 +183,3 @@ FROM (
   FROM walk
 ) WHERE rn = 1
 """
-
-
-def redirect_alias_groups(sf_dir: str) -> ray.data.Dataset:
-    """Redirect-alias consolidation: pages grouped by their RESOLVED final
-    destination — (final_url, n_aliases, first_url) with first_url the
-    lexicographically smallest member (deterministic keeper). The step a
-    curation pipeline runs right after resolution so an article and its
-    redirect aliases count once. One groupby over the resolution output
-    (final_url-keyed); ORACLE-CHECKED by composing the recursive-walk twin
-    with the same GROUP BY."""
-    resolved = redirect_final_targets(sf_dir).select_columns(["url", "final_url"])
-    agg = resolved.groupby("final_url").aggregate(
-        ray.data.aggregate.Count("url"), ray.data.aggregate.Min("url")
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["final_url", "n_aliases", "first_url"]),
-        batch_format="pyarrow",
-    )
-
-
-def redirect_alias_groups_oracle_sql(pages_glob: str) -> str:
-    return f"""
-WITH resolved AS ({redirect_final_targets_oracle_sql(pages_glob)})
-SELECT final_url, CAST(count(*) AS BIGINT) AS n_aliases,
-       min(url) AS first_url
-FROM resolved GROUP BY final_url
-"""

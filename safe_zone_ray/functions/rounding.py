@@ -14,9 +14,6 @@ def round_half_away(x: float, ndigits: int = 4) -> float:
     return -math.floor(-x * scale + 0.5) / scale
 
 
-ARROW_ROUND_MODE = "half_towards_infinity"  # pc.round(..., round_mode=...) equivalent
-
-
 def round_half_away_int64_np(scaled):
     """Vectorized half-away-from-zero to int64 over an ALREADY-SCALED
     float64 array — the canonical numpy form of ``round_half_away(x, 0)``

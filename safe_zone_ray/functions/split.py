@@ -8,10 +8,6 @@ uniformly, and no shuffle or coordination is needed — each batch computes
 its own assignments with three vectorized uint64 ops. The SQL twin is the
 identical integer arithmetic, so parity is exact (no float, no RNG).
 
-``split_lang_balance`` is the audit view: per-(split, lang) doc counts +
-within-split fraction (rounded to 6 dp), demonstrating the hash split is
-~stratified by construction at corpus scale.
-
 Reference parity: no reference counterpart; beyond-reference training-
 pipeline operator (split before dedup/decontam in corpus-prep recipes).
 """
@@ -21,8 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray.data
-
-from safe_zone_ray.functions.textstats import read_documents
 
 KNUTH = 2654435761  # 2^32 / phi, the classic multiplicative constant
 N_BUCKETS = 100
@@ -56,65 +50,6 @@ def train_split_assignment(sf_dir: str) -> ray.data.Dataset:
     ).map_batches(assign, batch_format="pyarrow")
 
 
-def split_lang_balance(sf_dir: str) -> ray.data.Dataset:
-    """(split, lang, n_docs, frac) — per-(split, lang) counts with the
-    within-split fraction rounded to 6 dp. One small groupby exchange
-    (|splits|·|langs| rows); totals resolved by a broadcast of the
-    3-row per-split sums."""
-
-    def assign(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        b = _buckets(ids)
-        split = np.where(b < TRAIN_LT, "train", np.where(b < VALID_LT, "valid", "test"))
-        lang = batch.column("lang").to_numpy(zero_copy_only=False)
-        key = np.char.add(np.char.add(split.astype(str), "|"), lang.astype(str))
-        uniq, n = np.unique(key, return_counts=True)
-        return pa.Table.from_arrays(
-            [pa.array(uniq.astype(object), pa.string()), pa.array(n.astype(np.int64))],
-            names=["key", "n"],
-        )
-
-    agg = (
-        read_documents(sf_dir, ["doc_id", "lang"])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("key")
-        .sum("n")
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        keys = batch.column("key").to_numpy(zero_copy_only=False)
-        n = batch.column("sum(n)").to_numpy(zero_copy_only=False)
-        parts = np.array([k.split("|", 1) for k in keys], dtype=object)
-        if len(parts) == 0:
-            return pa.Table.from_arrays(
-                [
-                    pa.array([], pa.string()),
-                    pa.array([], pa.string()),
-                    pa.array([], pa.int64()),
-                    pa.array([], pa.float64()),
-                ],
-                names=["split", "lang", "n_docs", "frac"],
-            )
-        split, lang = parts[:, 0], parts[:, 1]
-        # per-split totals: the groupby result is ≤ |splits|·|langs| rows,
-        # always a single block — totals computed in place
-        totals = {s: int(n[split == s].sum()) for s in np.unique(split)}
-        tot = np.array([totals[s] for s in split], dtype=np.float64)
-        frac = n.astype(np.float64) / tot
-        frac = np.floor(frac * 1e6 + 0.5) / 1e6  # non-negative: half-up == half-away
-        return pa.Table.from_arrays(
-            [
-                pa.array(split.astype(object), pa.string()),
-                pa.array(lang.astype(object), pa.string()),
-                pa.array(n.astype(np.int64)),
-                pa.array(frac),
-            ],
-            names=["split", "lang", "n_docs", "frac"],
-        )
-
-    return agg.repartition(1).map_batches(finish, batch_format="pyarrow")
-
-
 def split_assignment_oracle_sql() -> str:
     return f"""
         SELECT doc_id,
@@ -125,26 +60,4 @@ def split_assignment_oracle_sql() -> str:
                  ELSE 'test'
                END AS split
         FROM documents
-    """
-
-
-def split_lang_balance_oracle_sql() -> str:
-    return f"""
-        WITH assigned AS (
-          SELECT lang,
-                 CASE
-                   WHEN (doc_id * {KNUTH}) % 4294967296 % {N_BUCKETS} < {TRAIN_LT} THEN 'train'
-                   WHEN (doc_id * {KNUTH}) % 4294967296 % {N_BUCKETS} < {VALID_LT} THEN 'valid'
-                   ELSE 'test'
-                 END AS split
-          FROM documents
-        ),
-        counts AS (
-          SELECT split, lang, CAST(count(*) AS BIGINT) AS n_docs
-          FROM assigned GROUP BY 1, 2
-        )
-        SELECT split, lang, n_docs,
-               round(CAST(n_docs AS DOUBLE)
-                     / sum(n_docs) OVER (PARTITION BY split), 6) AS frac
-        FROM counts
     """

@@ -14,10 +14,8 @@ and DuckDB's ``//`` truncates toward zero where numpy floors — the clamp
 removes the only case where they disagree).
 
 Scale shape: per-batch (source, token) count combiner → ONE
-``groupby(source, token)`` exchange (vocab × |sources| bounded, the same
-class as ``vocab_overlap``) → a second exchange keyed by token-crc
-bucket (64 buckets, the ``vocab_overlap`` segmentation) so
-each bucket holds EVERY source's rows for its tokens and computes the
+``groupby(source, token)`` exchange (vocab × |sources| bounded) → a
+second exchange keyed by token-crc bucket (64 buckets) so each bucket holds EVERY source's rows for its tokens and computes the
 global token marginal locally — the per-bucket fold is vectorized over
 the whole bucket (np.unique + bincount), never per token. Source
 marginals are a tiny broadcast (|sources| rows). The driver folds

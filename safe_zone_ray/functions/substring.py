@@ -3,10 +3,8 @@
 The operator family from Lee et al. 2022, "Deduplicating Training Data Makes
 Language Models Better" (arXiv:2107.06499): find every length-``L`` character
 gram that occurs at two or more (doc, position) sites anywhere in the corpus,
-and either report the per-document duplicated-character coverage
-(``exact_substring_dup_stats``) or splice the redundant occurrences out of
-the text, keeping the globally first site of each gram
-(``exact_substring_scrub``).
+and report the per-document duplicated-character coverage
+(``exact_substring_dup_stats``).
 
 Re-expressed Ray-Data-first instead of the paper's corpus-global suffix
 array:
@@ -21,9 +19,7 @@ array:
    Jaccard-verify / banded-Hamming buckets, never one Python call per gram;
 3. the surviving duplicated positions (a small fraction of the corpus) take
    a second, doc-bucketed exchange for the per-document interval union
-   (``np.add.reduceat`` over doc boundaries), and the scrub variant joins
-   the per-doc interval lists back to the text with a native
-   ``Dataset.join`` — only modified documents carry text through the join.
+   (``np.add.reduceat`` over doc boundaries).
 
 Scale notes (100 TB):
 - the position exchange is corpus_chars × 28 B — inherently the price of
@@ -40,10 +36,8 @@ Scale notes (100 TB):
   yields P−L+1 consecutive positions), so the second exchange is usually
   ≪ corpus-sized; the interval union collapses it to one row per document.
 
-Semantics are pinned by the SQL twins (both entries are oracle-checked):
+Semantics are pinned by the SQL twin (the entry is oracle-checked):
 - a position is DUPLICATED iff its L-gram occurs at ≥ 2 sites corpus-wide;
-- the CANONICAL site of a gram is the lexicographically smallest
-  (doc_id, pos); all other sites are REDUNDANT;
 - interval union of [pos, pos+L): a new span starts when the gap to the
   previous marked position exceeds L; each position contributes
   min(L, gap) characters (L for the first).
@@ -68,8 +62,7 @@ _B1 = np.uint64(0x9E3779B97F4A7C15)  # odd ⇒ invertible mod 2^64
 _B2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
 _EMPTY_MARKED = pa.Table.from_arrays(
-    [pa.array([], pa.int64()), pa.array([], pa.int64()), pa.array([], pa.bool_())],
-    names=["doc_id", "pos", "canonical"],
+    [pa.array([], pa.int64()), pa.array([], pa.int64())], names=["doc_id", "pos"]
 )
 
 
@@ -139,11 +132,10 @@ def _gram_rows(batch: pa.Table, L: int) -> pa.Table:
 
 
 def _mark_bucket(group: pa.Table) -> pa.Table:
-    """One fingerprint bucket → (doc_id, pos, canonical) for every position
-    whose gram occurs ≥ 2 times corpus-wide. All sites of a gram share a
-    bucket, so segmentation here IS the global decision. Vectorized:
-    lexsort by (h1, h2, doc, pos), segment on fingerprint change; the first
-    row of each ≥2-row segment is the canonical site."""
+    """One fingerprint bucket → (doc_id, pos) for every position whose
+    gram occurs ≥ 2 times corpus-wide. All sites of a gram share a bucket,
+    so segmentation here IS the global decision. Vectorized: lexsort by
+    (h1, h2, doc, pos), segment on fingerprint change."""
     if group.num_rows == 0 or "h1" not in group.column_names:
         return _EMPTY_MARKED
     h1 = group.column("h1").to_numpy(zero_copy_only=False)
@@ -162,15 +154,13 @@ def _mark_bucket(group: pa.Table) -> pa.Table:
     in_dup = np.repeat(dup_seg, sizes)
     if not in_dup.any():
         return _EMPTY_MARKED
-    canonical = first & in_dup
     return pa.Table.from_arrays(
-        [pa.array(ids[in_dup]), pa.array(pos[in_dup]), pa.array(canonical[in_dup])],
-        names=["doc_id", "pos", "canonical"],
+        [pa.array(ids[in_dup]), pa.array(pos[in_dup])], names=["doc_id", "pos"]
     )
 
 
 def _marked_positions(sf_dir: str, L: int) -> ray.data.Dataset:
-    """(doc_id, pos, canonical) for every duplicated position — exchange 1."""
+    """(doc_id, pos) for every duplicated position — exchange 1."""
     grams = _read(sf_dir).map_batches(
         lambda b: _gram_rows(b, L), batch_format="pyarrow"
     )
@@ -186,7 +176,7 @@ def _doc_bucket(batch: pa.Table) -> pa.Table:
 def exact_substring_dup_stats(sf_dir: str, L: int = SUB_L) -> ray.data.Dataset:
     """Per document with ≥ 1 duplicated position: contiguous duplicated-span
     count and duplicated-character coverage (interval union of [pos, pos+L)
-    over ALL duplicated positions, canonical sites included — "how much of
+    over ALL duplicated positions, first sites included — "how much of
     this doc participates in corpus-level duplication")."""
     marked = _marked_positions(sf_dir, L)
 
@@ -228,118 +218,6 @@ def exact_substring_dup_stats(sf_dir: str, L: int = SUB_L) -> ray.data.Dataset:
     )
 
 
-_MERGE_SCHEMA = pa.schema(
-    [
-        ("dbucket", pa.int64()),
-        ("doc_id", pa.int64()),
-        ("pos", pa.int64()),
-        ("text", pa.string()),
-    ]
-)
-
-
-def exact_substring_scrub(sf_dir: str, L: int = SUB_L) -> ray.data.Dataset:
-    """Keep-first substring scrub: splice the interval union of REDUNDANT
-    positions (non-canonical sites) out of each document's text. Returns
-    (doc_id, scrubbed_text) for modified documents only — the globally
-    first occurrence of every duplicated gram survives intact.
-
-    The text meets its redundant positions through the repo's union +
-    bucketed-groupby merge (the Jaccard-verify shape), NOT ``Dataset.join``:
-    the hash-join operator rejects partitions that received no right-side
-    block (sparse modified-doc sets are the common case), and the union
-    merge does the splice in the same single exchange anyway."""
-    marked = _marked_positions(sf_dir, L).filter(expr="canonical == False")
-
-    def pos_rows(batch: pa.Table) -> pa.Table:
-        if "doc_id" not in batch.column_names or batch.num_rows == 0:
-            return _MERGE_SCHEMA.empty_table()
-        b = _doc_bucket(batch)
-        n = batch.num_rows
-        return pa.Table.from_arrays(
-            [
-                b.column("dbucket"),
-                batch.column("doc_id"),
-                batch.column("pos"),
-                pa.nulls(n, pa.string()),
-            ],
-            schema=_MERGE_SCHEMA,
-        )
-
-    def doc_rows(batch: pa.Table) -> pa.Table:
-        b = _doc_bucket(batch)
-        n = batch.num_rows
-        return pa.Table.from_arrays(
-            [
-                b.column("dbucket"),
-                batch.column("doc_id"),
-                pa.nulls(n, pa.int64()),
-                batch.column("text"),
-            ],
-            schema=_MERGE_SCHEMA,
-        )
-
-    unioned = marked.map_batches(pos_rows, batch_format="pyarrow").union(
-        _read(sf_dir).map_batches(doc_rows, batch_format="pyarrow")
-    )
-
-    def merge_splice(group: pa.Table) -> pa.Table:
-        empty = pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.string())],
-            names=["doc_id", "scrubbed_text"],
-        )
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return empty
-        is_doc = group.column("pos").is_null().to_numpy(zero_copy_only=False)
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = group.column("pos").fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
-        p_ids, p_pos = ids[~is_doc], pos[~is_doc]
-        if len(p_ids) == 0:
-            return empty
-        o = np.lexsort((p_pos, p_ids))
-        p_ids, p_pos = p_ids[o], p_pos[o]
-        n = len(p_ids)
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = p_ids[1:] != p_ids[:-1]
-        gap = np.empty(n, dtype=np.int64)
-        gap[0] = L + 1
-        gap[1:] = p_pos[1:] - p_pos[:-1]
-        gap[first] = L + 1
-        is_start = gap > L
-        start_idx = np.flatnonzero(is_start)
-        end_idx = np.append(start_idx[1:], n) - 1
-        span_doc = p_ids[start_idx]
-        span_s = p_pos[start_idx]
-        span_e = p_pos[end_idx] + L  # last position of the span + L
-        # doc_id → text for the docs present in this bucket (same dbucket
-        # hash on both sides ⇒ a doc's text and positions always co-locate)
-        texts = group.column("text").to_pylist()
-        text_of = {int(d): texts[k] for k, d in enumerate(ids) if is_doc[k]}
-        out_ids, out_txt = [], []
-        doc_first = np.empty(len(span_doc), dtype=bool)
-        doc_first[0] = True
-        doc_first[1:] = span_doc[1:] != span_doc[:-1]
-        bounds = np.append(np.flatnonzero(doc_first), len(span_doc))
-        for k in range(len(bounds) - 1):
-            lo, hi = bounds[k], bounds[k + 1]
-            did = int(span_doc[lo])
-            text = text_of[did]
-            kept, prev = [], 0
-            for s, e in zip(span_s[lo:hi], span_e[lo:hi]):
-                kept.append(text[prev:s])
-                prev = e
-            kept.append(text[prev:])
-            out_ids.append(did)
-            out_txt.append("".join(kept))
-        return pa.Table.from_arrays(
-            [pa.array(out_ids, pa.int64()), pa.array(out_txt, pa.string())],
-            names=["doc_id", "scrubbed_text"],
-        )
-
-    return unioned.groupby("dbucket").map_groups(merge_splice, batch_format="pyarrow")
-
-
 def _grams_cte(L: int) -> str:
     # DuckDB's range() table function rejects lateral column refs, so the
     # per-doc position range comes from unnest(generate_series(...))
@@ -377,52 +255,4 @@ def exact_substring_dup_stats_oracle_sql(L: int = SUB_L) -> str:
                CAST(sum(CASE WHEN gap IS NULL THEN {L} ELSE least(gap, {L}) END) AS BIGINT)
                    AS dup_chars
         FROM gaps GROUP BY doc_id
-    """
-
-
-def exact_substring_scrub_oracle_sql(L: int = SUB_L) -> str:
-    """DuckDB twin of the keep-first scrub, including the actual spliced
-    text: redundant sites via row_number over (doc_id, pos), interval union
-    via the lag-gap span grouping, splice via string_agg of kept segments."""
-    return f"""
-        WITH {_grams_cte(L)},
-        red AS (
-            SELECT doc_id, pos FROM (
-                SELECT doc_id, pos,
-                       count(*) OVER (PARTITION BY g) AS c,
-                       row_number() OVER (PARTITION BY g ORDER BY doc_id, pos) AS rn
-                FROM grams
-            ) WHERE c > 1 AND rn > 1
-        ),
-        flagged AS (
-            SELECT doc_id, pos,
-                   CASE WHEN lag(pos) OVER w IS NULL
-                             OR pos - lag(pos) OVER w > {L}
-                        THEN 1 ELSE 0 END AS is_start
-            FROM red WINDOW w AS (PARTITION BY doc_id ORDER BY pos)
-        ),
-        numbered AS (
-            SELECT doc_id, pos,
-                   sum(is_start) OVER (PARTITION BY doc_id ORDER BY pos) AS span_id
-            FROM flagged
-        ),
-        spans AS (
-            SELECT doc_id, span_id, min(pos) AS s, max(pos) + {L} AS e
-            FROM numbered GROUP BY doc_id, span_id
-        ),
-        segs AS (
-            SELECT doc_id,
-                   coalesce(lag(e) OVER (PARTITION BY doc_id ORDER BY s), 1) AS ks,
-                   s AS ke
-            FROM spans
-            UNION ALL
-            SELECT doc_id, max(e) AS ks, NULL AS ke FROM spans GROUP BY doc_id
-        )
-        SELECT g.doc_id,
-               coalesce(string_agg(
-                   substr(d.text, CAST(g.ks AS INTEGER),
-                          CAST(coalesce(g.ke, length(d.text) + 1) - g.ks AS INTEGER)),
-                   '' ORDER BY g.ks), '') AS scrubbed_text
-        FROM segs g JOIN documents d USING (doc_id)
-        GROUP BY g.doc_id
     """

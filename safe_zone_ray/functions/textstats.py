@@ -9,7 +9,6 @@ match bit-for-bit). Python-loop row iteration is deliberately absent.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -1077,67 +1076,6 @@ def boilerplate_lines_scrub_oracle_sql(min_docs: int = 3) -> str:
     """
 
 
-def longest_docs_per_lang(sf_dir: str, k: int = 3) -> ray.data.Dataset:
-    """Per-GROUP top-k (the grouped variant of ``top_sources``'s global
-    sort+limit): the k longest documents per language, combiner-first so
-    the exchange carries at most k rows per (batch, lang) — never the
-    corpus. Ties break on doc_id DESC (matching the oracle's
-    ``row_number`` order). Output (lang, doc_id, n_chars), one row per
-    kept doc."""
-
-    _empty = pa.Table.from_arrays(
-        [pa.array([], pa.string()), pa.array([], pa.int64()), pa.array([], pa.int64())],
-        names=["lang", "doc_id", "n_chars"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # an empty object ndarray would infer a null-typed lang column
-            # and break cross-block schema unification
-            return _empty
-        lang = batch.column("lang").to_numpy(zero_copy_only=False)
-        nch = batch.column("n_chars").to_numpy(zero_copy_only=False).astype(np.int64)
-        doc = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        # per-batch top-k per lang: lexsort by (lang, -n_chars, -doc_id)
-        order = np.lexsort((-doc, -nch, lang))
-        ls = lang[order]
-        first = np.empty(len(ls), dtype=bool)
-        if len(ls):
-            first[0] = True
-            first[1:] = ls[1:] != ls[:-1]
-        rank = np.arange(len(ls)) - np.flatnonzero(first)[np.cumsum(first) - 1]
-        keep = order[rank < k]
-        return pa.Table.from_arrays(
-            [pa.array(lang[keep]), pa.array(doc[keep]), pa.array(nch[keep])],
-            names=["lang", "doc_id", "n_chars"],
-        )
-
-    def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "lang" not in group.column_names:
-            return _empty
-        return partial(group)
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "doc_id", "n_chars"]
-    )
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(merge, batch_format="pyarrow")
-    )
-
-
-def longest_docs_per_lang_oracle_sql(k: int = 3) -> str:
-    return f"""
-        SELECT lang, doc_id, n_chars FROM (
-          SELECT lang, doc_id, n_chars,
-                 row_number() OVER (PARTITION BY lang
-                                    ORDER BY n_chars DESC, doc_id DESC) AS rn
-          FROM documents)
-        WHERE rn <= {k}
-    """
-
-
 N_LINEDEDUP_BUCKETS = 64
 
 _LINEDEDUP_MARKER_EMPTY = pa.Table.from_arrays(
@@ -1472,94 +1410,6 @@ def compression_ratio_stats(
         )
 
     return read_documents(sf_dir).map_batches(kernel, batch_format="pyarrow")
-
-
-def per_source_quota(sf_dir: str, k: int = 5) -> ray.data.Dataset:
-    """Per-source document QUOTA with explicit rank output — the
-    Common-Crawl practice of capping how many pages any one host/source
-    contributes to the training mix (the reference caps per-request
-    detections; this is the corpus-wide analogue). Keeps the ``k``
-    highest-value documents per source ordered by (n_chars DESC, doc_id
-    ASC) and emits each keeper's 1-based ``quota_rank`` — i.e. a bounded
-    ROW_NUMBER() OVER (PARTITION BY source ...).
-
-    Combiner-first like ``longest_docs_per_lang``: each batch pre-cuts to
-    its local top-k per source, so the exchange carries at most k rows per
-    (batch, source) — never the corpus — and the rank is assigned in the
-    single per-source merge. At 10^12 docs the payload never ships: only
-    (source, doc_id, n_chars) enter the exchange; the kept corpus is
-    recovered by a broadcast-id anti-join (the ``near_dedup_kept``
-    pattern)."""
-
-    _empty = pa.Table.from_arrays(
-        [
-            pa.array([], pa.string()),
-            pa.array([], pa.int64()),
-            pa.array([], pa.int64()),
-            pa.array([], pa.int64()),
-        ],
-        names=["source", "doc_id", "n_chars", "quota_rank"],
-    )
-
-    def _topk(src, doc, nch, with_rank: bool):
-        # order: source ASC, n_chars DESC, doc_id ASC (np.lexsort: last
-        # key is primary)
-        order = np.lexsort((doc, -nch, src))
-        ss = src[order]
-        first = np.empty(len(ss), dtype=bool)
-        if len(ss):
-            first[0] = True
-            first[1:] = ss[1:] != ss[:-1]
-        rank = np.arange(len(ss)) - np.flatnonzero(first)[np.cumsum(first) - 1]
-        keep = rank < k
-        sel = order[keep]
-        cols = [pa.array(src[sel]), pa.array(doc[sel]), pa.array(nch[sel])]
-        names = ["source", "doc_id", "n_chars"]
-        if with_rank:
-            cols.append(pa.array((rank[keep] + 1).astype(np.int64)))
-            names.append("quota_rank")
-        return pa.Table.from_arrays(cols, names=names)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty.select(["source", "doc_id", "n_chars"])
-        return _topk(
-            batch.column("source").to_numpy(zero_copy_only=False),
-            batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64),
-            batch.column("n_chars").to_numpy(zero_copy_only=False).astype(np.int64),
-            with_rank=False,
-        )
-
-    def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "source" not in group.column_names:
-            return _empty
-        return _topk(
-            group.column("source").to_numpy(zero_copy_only=False),
-            group.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64),
-            group.column("n_chars").to_numpy(zero_copy_only=False).astype(np.int64),
-            with_rank=True,
-        )
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "doc_id", "n_chars"]
-    )
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(merge, batch_format="pyarrow")
-    )
-
-
-def per_source_quota_oracle_sql(k: int = 5) -> str:
-    return f"""
-        SELECT source, doc_id, n_chars, quota_rank FROM (
-          SELECT source, doc_id, n_chars,
-                 CAST(row_number() OVER (PARTITION BY source
-                                         ORDER BY n_chars DESC, doc_id ASC)
-                      AS BIGINT) AS quota_rank
-          FROM documents)
-        WHERE quota_rank <= {k}
-    """
 
 
 def token_fertility_by_lang(sf_dir: str) -> ray.data.Dataset:

@@ -129,84 +129,6 @@ def url_filter_oracle_sql(pages_glob: str) -> str:
     """
 
 
-# UT1-style domain blocklist with SUFFIX semantics: an entry blocks the
-# exact host and every subdomain (entry "example-org" blocks
-# "web04.example-org"). Ordered — first matching entry wins, so the output
-# is deterministic however many entries match.
-BLOCKED_SUFFIXES = (
-    "web03.example-com",  # exact-host entry
-    "example-org",  # registrable-domain entry: blocks all web*.example-org
-)
-
-
-def host_suffix_blocklist(sf_dir: str) -> ray.data.Dataset:
-    """Pages whose canonical host matches a domain-suffix blocklist entry
-    (exact host OR ``.suffix`` subdomain), with the matching entry.
-
-    This is the UT1/adult-blocklist filter of CCNet/RefinedWeb pipelines
-    (Penedo et al. 2023 §3.1): entries are registrable domains and must
-    match every subdomain, so exact-host joins are not enough. With a
-    handful of entries the kernel runs one vectorized (equality OR
-    ends-with) pass per entry; for a UT1-sized list (millions of entries)
-    the documented shape is to explode each host into its <= ~6 label
-    suffixes and probe a broadcast hash set — per-row work stays O(labels),
-    never O(entries). Output (url, host_norm, matched_suffix), blocked rows
-    only."""
-    from safe_zone_ray.pages import synthesize_pages_dir
-
-    pages_dir = synthesize_pages_dir(sf_dir)
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        urls = batch.column("url")
-        host = _canonical_hosts(urls)
-        hn = host.to_numpy(zero_copy_only=False)
-        matched = np.full(len(hn), None, dtype=object)
-        remaining = np.ones(len(hn), dtype=bool)
-        for entry in BLOCKED_SUFFIXES:
-            hit = remaining & (
-                (hn == entry)
-                | pc.ends_with(host, "." + entry).to_numpy(zero_copy_only=False)
-            )
-            matched[hit] = entry
-            remaining &= ~hit
-        keep = ~remaining
-        return pa.Table.from_arrays(
-            [
-                pc.array_filter(urls, pa.array(keep)),
-                pa.array(hn[keep], pa.string()),
-                pa.array(matched[keep], pa.string()),
-            ],
-            names=["url", "host_norm", "matched_suffix"],
-        )
-
-    return ray.data.read_parquet(pages_dir, columns=["url"]).map_batches(
-        kernel, batch_format="pyarrow"
-    )
-
-
-def host_suffix_blocklist_oracle_sql(pages_glob: str) -> str:
-    cases = " ".join(
-        f"WHEN host_norm = '{e}' OR host_norm LIKE '%.{e}' THEN '{e}'"
-        for e in BLOCKED_SUFFIXES
-    )
-    return f"""
-        WITH h AS (
-            SELECT url,
-                   regexp_replace(
-                     regexp_replace(
-                       regexp_replace(
-                         coalesce(regexp_extract(lower(coalesce(url, '')), '{_AUTHORITY_RE}', 1), ''),
-                         '^.*@', ''),
-                       ':\\d*$', ''),
-                     '^www\\.', '') AS host_norm
-            FROM read_parquet('{pages_glob}')
-        )
-        SELECT url, host_norm, CASE {cases} END AS matched_suffix
-        FROM h
-        WHERE CASE {cases} END IS NOT NULL
-    """
-
-
 def canonical_url_dedup(sf_dir: str) -> ray.data.Dataset:
     """Crawl-level URL dedup: pages whose CANONICAL url (lowercased host
     with userinfo/port/www stripped + path with query/fragment dropped and
@@ -277,299 +199,4 @@ def canonical_url_dedup_oracle_sql(pages_glob: str) -> str:
         )
         SELECT canon_url, url, warc_ts, CAST(n_dups AS BIGINT) AS n_dups
         FROM r WHERE rn = 1
-    """
-
-
-def host_crawl_cadence(sf_dir: str) -> ray.data.Dataset:
-    """Per-host crawl cadence: how often does the crawler revisit a host?
-
-    For every canonical host with >= 2 captures: the number of captures and
-    the median / min / max inter-capture gap in microseconds. This is the
-    recrawl-policy audit a crawl operator runs before scheduling (hosts
-    with tiny median gaps are being over-crawled; huge max gaps flag
-    coverage holes).
-
-    Shape: one vectorized host-extraction pass, then ``groupby(host)`` —
-    the exchange carries (host, int64 ts) ONLY, no page payload. Adjacent
-    gaps need the host's full sorted timeline, so each host's timestamps
-    co-locate in one group (8 bytes per capture — a 10^8-capture hot host
-    is 800 MB, still one-node-sized; beyond that the documented overflow
-    path is the distinct-value counting-histogram quantile used by
-    ``doc_length_quantiles_by_lang``). Median parity is EXACT: both
-    engines average the two middle int64 gaps, which float64 represents
-    exactly below 2^52 us (~142 years).
-
-    Determinism: equal timestamps make the sort order between them
-    arbitrary, but the MULTISET of adjacent differences of a sorted
-    multiset is unique — gap stats are tie-order-independent.
-    """
-    from safe_zone_ray.pages import synthesize_pages_dir
-
-    pages_dir = synthesize_pages_dir(sf_dir)
-
-    def extract(batch: pa.Table) -> pa.Table:
-        host = _canonical_hosts(batch.column("url"))
-        ts = pc.cast(batch.column("warc_ts"), pa.int64())
-        return pa.Table.from_arrays([host, ts], names=["host", "ts_us"])
-
-    _empty = pa.Table.from_arrays(
-        [
-            pa.array([], pa.string()),
-            pa.array([], pa.int64()),
-            pa.array([], pa.float64()),
-            pa.array([], pa.int64()),
-            pa.array([], pa.int64()),
-        ],
-        names=["host", "n_crawls", "median_gap_us", "min_gap_us", "max_gap_us"],
-    )
-
-    def cadence(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n < 2 or "ts_us" not in group.column_names:
-            return _empty
-        ts = np.sort(group.column("ts_us").to_numpy(zero_copy_only=False))
-        gaps = np.diff(ts)
-        return pa.Table.from_arrays(
-            [
-                pa.array([group.column("host")[0].as_py()], pa.string()),
-                pa.array([n], pa.int64()),
-                pa.array([float(np.median(gaps))], pa.float64()),
-                pa.array([int(gaps.min())], pa.int64()),
-                pa.array([int(gaps.max())], pa.int64()),
-            ],
-            names=["host", "n_crawls", "median_gap_us", "min_gap_us", "max_gap_us"],
-        )
-
-    return (
-        ray.data.read_parquet(pages_dir, columns=["url", "warc_ts"])
-        .map_batches(extract, batch_format="pyarrow")
-        .groupby("host")
-        .map_groups(cadence, batch_format="pyarrow")
-    )
-
-
-def host_crawl_cadence_oracle_sql(pages_glob: str) -> str:
-    return f"""
-        WITH h AS (
-            SELECT regexp_replace(
-                     regexp_replace(
-                       regexp_replace(
-                         coalesce(regexp_extract(lower(coalesce(url, '')), '{_AUTHORITY_RE}', 1), ''),
-                         '^.*@', ''),
-                       ':\\d*$', ''),
-                     '^www\\.', '') AS host,
-                   epoch_us(warc_ts) AS ts_us
-            FROM read_parquet('{pages_glob}')
-        ),
-        g AS (
-            SELECT host,
-                   ts_us - lag(ts_us) OVER (PARTITION BY host ORDER BY ts_us) AS gap
-            FROM h
-        )
-        SELECT host,
-               CAST(count(*) AS BIGINT) AS n_crawls,
-               CAST(median(gap) AS DOUBLE) AS median_gap_us,
-               CAST(min(gap) AS BIGINT) AS min_gap_us,
-               CAST(max(gap) AS BIGINT) AS max_gap_us
-        FROM g
-        GROUP BY host
-        HAVING count(*) >= 2
-    """
-
-
-def host_skew_report(sf_dir: str) -> pa.Table:
-    """Corpus-level host-concentration (skew) audit: one row with
-    (n_hosts, n_pages, host_entropy_nats, top1_share, top10_share).
-
-    This is the diagnostic a pipeline operator reads BEFORE picking a
-    partitioning strategy: low entropy / high top-1 share means any
-    groupby(host) downstream needs salting (the hazard
-    ``per_host_keep_stats`` defuses with its salted two-phase shape).
-
-    Shape: per-batch host-count combiner → ONE host-cardinality-sized
-    ``groupby(host).sum`` (distributed, never collected) → a second
-    per-block combiner emits (n_hosts, n_pages, Σ round(c·ln c·1e6)
-    int64, top-10 candidates) so the driver merge sees O(blocks) rows.
-    The entropy term is quantized to integer micro-units PER HOST before
-    summing — order-independent and exactly reproduced by the SQL twin
-    (the ``lmscore`` micro-unit discipline). Top-10 share is an integer
-    sum of the ten largest counts: ties at the cut change which host is
-    picked but never the sum.
-    """
-    from safe_zone_ray.functions.rounding import round_half_away
-    from safe_zone_ray.pages import synthesize_pages_dir
-
-    pages_dir = synthesize_pages_dir(sf_dir)
-
-    def count_hosts(batch: pa.Table) -> pa.Table:
-        host = _canonical_hosts(batch.column("url"))
-        t = pa.Table.from_arrays(
-            [host, pa.array(np.ones(len(host), dtype=np.int64))],
-            names=["host", "c"],
-        )
-        return (
-            t.group_by(["host"]).aggregate([("c", "sum")]).rename_columns(["host", "c"])
-        )
-
-    def block_partial(t: pa.Table) -> pa.Table:
-        t = t.rename_columns(["host", "c"])
-        c = t.column("c").to_numpy(zero_copy_only=False).astype(np.float64)
-        s_micro = (
-            np.floor(c * np.log(c) * 1e6 + 0.5).astype(np.int64).sum()
-            if len(c)
-            else 0
-        )
-        top = np.sort(c.astype(np.int64))[::-1][:10]
-        return pa.Table.from_arrays(
-            [
-                pa.array([len(c)], pa.int64()),
-                pa.array([int(c.sum())], pa.int64()),
-                pa.array([int(s_micro)], pa.int64()),
-                pa.array([top.tolist()], pa.list_(pa.int64())),
-            ],
-            names=["nh", "np_", "sm", "top"],
-        )
-
-    rows = (
-        ray.data.read_parquet(pages_dir, columns=["url"])
-        .map_batches(count_hosts, batch_format="pyarrow")
-        .groupby("host")
-        .sum("c")
-        .map_batches(block_partial, batch_format="pyarrow")
-        .take_all()  # bounded: one row per block
-    )
-    n_hosts = sum(r["nh"] for r in rows)
-    n_pages = sum(r["np_"] for r in rows)
-    s_micro = sum(r["sm"] for r in rows)
-    cand = np.sort(np.concatenate([np.asarray(r["top"], dtype=np.int64) for r in rows]))[::-1]
-    entropy = round_half_away(float(np.log(n_pages) - s_micro / (1e6 * n_pages)), 6)
-    return pa.table(
-        {
-            "n_hosts": pa.array([n_hosts], pa.int64()),
-            "n_pages": pa.array([n_pages], pa.int64()),
-            "host_entropy_nats": pa.array([entropy], pa.float64()),
-            "top1_share": pa.array(
-                [round_half_away(float(cand[0]) / n_pages, 6)], pa.float64()
-            ),
-            "top10_share": pa.array(
-                [round_half_away(float(cand[:10].sum()) / n_pages, 6)], pa.float64()
-            ),
-        }
-    )
-
-
-def host_skew_report_oracle_sql(pages_glob: str) -> str:
-    return f"""
-        WITH h AS (
-            SELECT regexp_replace(
-                     regexp_replace(
-                       regexp_replace(
-                         coalesce(regexp_extract(lower(coalesce(url, '')), '{_AUTHORITY_RE}', 1), ''),
-                         '^.*@', ''),
-                       ':\\d*$', ''),
-                     '^www\\.', '') AS host,
-                   CAST(count(*) AS BIGINT) AS c
-            FROM read_parquet('{pages_glob}')
-            GROUP BY 1
-        ),
-        n AS (
-            SELECT CAST(sum(c) AS BIGINT) AS np_, CAST(count(*) AS BIGINT) AS nh,
-                   CAST(sum(CAST(round(c * ln(c) * 1000000, 0) AS BIGINT)) AS BIGINT) AS sm,
-                   max(c) AS top1
-            FROM h
-        ),
-        t AS (SELECT CAST(sum(c) AS BIGINT) AS top10 FROM (
-                  SELECT c FROM h ORDER BY c DESC LIMIT 10))
-        SELECT nh AS n_hosts, np_ AS n_pages,
-               round(ln(np_) - sm / (1000000.0 * np_), 6) AS host_entropy_nats,
-               round(top1 / CAST(np_ AS DOUBLE), 6) AS top1_share,
-               round(top10 / CAST(np_ AS DOUBLE), 6) AS top10_share
-        FROM n, t
-    """
-
-
-# ---------------------------------------------------------------------------
-# URL path-template mining
-# ---------------------------------------------------------------------------
-
-TEMPLATE_MIN_PAGES = 2
-
-
-def url_path_templates(sf_dir: str, min_pages: int = TEMPLATE_MIN_PAGES) -> ray.data.Dataset:
-    """(host, path_template, n_pages) for every template serving >= min_pages
-    pages, ORACLE-CHECKED.
-
-    Path-template mining is the standard crawl-frontier hygiene pass:
-    URLs whose paths differ only in numeric ids (``/article/123`` vs
-    ``/article/456``) come from ONE generator template, and a template
-    with a huge page count is the signature of calendar traps, pagination
-    mills and infinite faceted listings. Crawl schedulers cap fetches per
-    template for exactly this reason (cf. the URL-normalization dedup
-    rules surveyed in Olston & Najork 2010, "Web Crawling" §4).
-
-    Vectorized: host via the shared ``_canonical_hosts`` kernel, path via
-    one RE2 ``extract_regex``, template via one RE2 ``replace`` of digit
-    runs with ``N``. Scale shape: per-batch (host, template) combiner →
-    ONE exchange bounded by the number of DISTINCT templates (orders of
-    magnitude below page count by construction — that is the point of the
-    operator); the HAVING filter runs post-merge, distributed.
-    """
-
-    from safe_zone_ray.pages import synthesize_pages_dir
-
-    pages_dir = synthesize_pages_dir(sf_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        lower = pc.utf8_lower(pc.fill_null(batch.column("url"), ""))
-        host = _canonical_hosts(batch.column("url"))
-        path = pc.fill_null(
-            pc.struct_field(pc.extract_regex(lower, _PATH_RE), "g"), ""
-        )
-        path = pc.if_else(pc.equal(path, ""), pa.scalar("/"), path)
-        tmpl = pc.replace_substring_regex(path, r"[0-9]+", "N")
-        t = pa.Table.from_arrays(
-            [host, tmpl, pa.array(np.ones(batch.num_rows, np.int64))],
-            names=["host", "path_template", "n"],
-        )
-        return (
-            t.group_by(["host", "path_template"])
-            .aggregate([("n", "sum")])
-            .rename_columns(["host", "path_template", "n"])
-        )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        t = t.rename_columns(["host", "path_template", "n_pages"])
-        return t.filter(pc.greater_equal(t.column("n_pages"), min_pages))
-
-    return (
-        ray.data.read_parquet(pages_dir, columns=["url"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["host", "path_template"])
-        .sum("n")
-        .map_batches(finalize, batch_format="pyarrow")
-    )
-
-
-def url_path_templates_oracle_sql(
-    pages_glob: str, min_pages: int = TEMPLATE_MIN_PAGES
-) -> str:
-    return f"""
-        WITH p AS (
-            SELECT regexp_replace(
-                     regexp_replace(
-                       regexp_replace(
-                         coalesce(regexp_extract(lower(coalesce(url, '')), '{_AUTHORITY_RE}', 1), ''),
-                         '^.*@', ''),
-                       ':\\d*$', ''),
-                     '^www\\.', '') AS host,
-                   coalesce(regexp_extract(lower(coalesce(url, '')), '{_PATH_RE}', 1), '') AS path
-            FROM read_parquet('{pages_glob}')
-        )
-        SELECT host,
-               regexp_replace(CASE WHEN path = '' THEN '/' ELSE path END,
-                              '[0-9]+', 'N', 'g') AS path_template,
-               CAST(count(*) AS BIGINT) AS n_pages
-        FROM p
-        GROUP BY 1, 2
-        HAVING count(*) >= {min_pages}
     """

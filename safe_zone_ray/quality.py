@@ -353,77 +353,3 @@ def train_word_lm_from_pages(pages_dir: str, sample_rows: int = 500) -> WordBigr
         for txt, h in zip(t.column("text").to_pylist(), t.column("html").to_pylist())
     ]
     return WordBigramLM(docs)
-
-
-def _lm_count_rows(batch, word_re):
-    """Per-batch local bigram/unigram counting (the combiner): one output row
-    per DISTINCT gram per batch, never one per token."""
-    import pyarrow as pa
-
-    uni: dict[str, int] = {}
-    big: dict[tuple[str, str], int] = {}
-    for doc in batch.column("text").to_pylist():
-        toks = word_re.findall((doc or "").lower())
-        prev = WordBigramLM.BOS
-        for t in toks:
-            uni[t] = uni.get(t, 0) + 1
-            big[(prev, t)] = big.get((prev, t), 0) + 1
-            prev = t
-    a_out = ["\x01UNI"] * len(uni) + [a for a, _ in big]
-    b_out = list(uni.keys()) + [b for _, b in big]
-    n_out = list(uni.values()) + list(big.values())
-    return pa.Table.from_arrays(
-        [
-            pa.array(a_out, pa.string()),
-            pa.array(b_out, pa.string()),
-            pa.array(n_out, pa.int64()),
-        ],
-        names=["a", "b", "n"],
-    )
-
-
-def train_word_lm_distributed(
-    sf_dir: str, min_count: int = 1, alpha: float = 0.4
-) -> "WordBigramLM":
-    """Distributed counterpart of driver-side ``WordBigramLM(documents)`` —
-    the 100-TB path, where the training corpus cannot pass through the
-    driver: per-batch local gram counting (combiner) → one groupby over
-    DISTINCT grams → the merged counts (vocabulary-sized, tiny relative to
-    the corpus) build the identical model. ``min_count`` prunes rare grams
-    at the exchange for corpora whose vocabulary itself is large.
-
-    Exact-equivalence with the in-memory trainer (same tokenizer, same
-    counts) is pinned by tests/test_langid_quality.py."""
-    import functools
-
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-    counts = (
-        ds.map_batches(
-            functools.partial(_lm_count_rows, word_re=_WORD_RE), batch_format="pyarrow"
-        )
-        .groupby(["a", "b"])
-        .sum("n")
-    )
-    if min_count > 1:
-        import pyarrow.compute as _pc
-
-        counts = counts.map_batches(
-            lambda t: t.filter(_pc.greater_equal(t.column("sum(n)"), min_count)),
-            batch_format="pyarrow",
-        )
-
-    lm = WordBigramLM([], alpha=alpha)
-    for r in counts.take_all():
-        n = int(r.get("sum(n)", r.get("sum_n", 0)))
-        if r["a"] == "\x01UNI":
-            lm.unigrams[r["b"]] = n
-            lm.total += n
-        else:
-            lm.bigrams[(r["a"], r["b"])] = n
-    lm.vocab_size = len(lm.unigrams) + 1
-    lm._ctx_totals = {}
-    for (a, _), c in lm.bigrams.items():
-        lm._ctx_totals[a] = lm._ctx_totals.get(a, 0) + c
-    return lm

@@ -253,11 +253,3 @@ def read_pages_csv(pages_path: str | list[str]) -> ray.data.Dataset:
     return ray.data.read_csv(pages_path).map_batches(
         _coerce_pages_batch, batch_format="pyarrow"
     )
-
-
-def write_decisions_jsonl(ds: ray.data.Dataset, out_dir: str) -> None:
-    """Decisions sink in the reference's response wire format: one JSON
-    object per line, one file per output block (S5 analogue over JSON
-    instead of Parquet — for feeding downstream consumers that speak the
-    reference's API shapes rather than columnar files)."""
-    ds.write_json(out_dir)

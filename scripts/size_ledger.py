@@ -4,9 +4,10 @@ Usage: python scripts/size_ledger.py [sf_dir]  (default /root/testdata/sf0.001)
 Prints package lines, `def test_` count, the queries() / oracle_sql() /
 GOLDEN / GOLDEN_SF001 sizes, the entries that qualify for the driver window
 (oracle-backed and absent from CORRECTNESS_r01-r04), whether this checkout's
-query order meets the conditions of tests/test_query_order.py, and the
+query order meets the conditions of tests/test_query_order.py, the
 modules that no import statement, top-level or lazy, reaches from the engine
-entry points.
+entry points, and the top-level functions and classes of the package whose
+name no file outside tests/ mentions apart from their own definition.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [ROOT, os.path.join(ROOT, "tests")]
 ENTRY = ["cli", "pipelines.corpus_prep", "pipelines.quality_filter", "state.lineage",
          "server", "gateway_http", "client", "oracle.decisions_sql"]
 
@@ -50,6 +50,30 @@ def imports(path: str, known: set[str]) -> set[str]:
     return parts & known
 
 
+def unreferenced_helpers(path_of: dict[str, str]) -> list[str]:
+    """`module.name` of every top-level function or class in the package
+    whose name occurs, as a whole word, in no .py file outside tests/ except
+    at its own definition: a helper only tests still call."""
+    texts = [read(f) for f in glob.glob(os.path.join(ROOT, "**", "*.py"), recursive=True)
+             if not os.path.relpath(f, ROOT).startswith("tests" + os.sep)]
+    out = []
+    for m in sorted(path_of):
+        for n in ast.parse(read(path_of[m])).body:
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                word = re.compile(rf"\b{re.escape(n.name)}\b")
+                if sum(len(word.findall(t)) for t in texts) <= 1:
+                    out.append(f"{m}.{n.name}")
+    return out
+
+
+def checked_entries() -> set[str]:
+    """Entries the grading driver already checked (CORRECTNESS_r01-r04)."""
+    checked = set()
+    for p in glob.glob(os.path.join(ROOT, "CORRECTNESS_r0[1-4].json")):
+        checked |= set(json.loads(read(p)))
+    return checked
+
+
 def window_breaks(queries: list[str], oracle: dict, checked: set[str]) -> list[str]:
     """The conditions tests/test_query_order.py puts on the first 50
     entries, checked against this checkout; one message per broken one."""
@@ -78,13 +102,11 @@ def main(sf_dir: str) -> None:
     tests = glob.glob(os.path.join(ROOT, "tests", "test_*.py"))
     n_tests = sum(len(re.findall(r"^\s*def test_", read(t), re.M)) for t in tests)
 
+    sys.path[:0] = [ROOT, os.path.join(ROOT, "tests")]
     import __ray_entry__ as e
     import test_golden_hashes as g
 
-    queries, oracle = list(e.queries()), e.oracle_sql(sf_dir)
-    checked = set()
-    for p in glob.glob(os.path.join(ROOT, "CORRECTNESS_r0[1-4].json")):
-        checked |= set(json.loads(read(p)))
+    queries, oracle, checked = list(e.queries()), e.oracle_sql(sf_dir), checked_entries()
     print(f"package lines     {sum(lines(f) for f in files)}")
     print(f"def test_         {n_tests}")
     print(f"queries()         {len(queries)}")
@@ -99,6 +121,10 @@ def main(sf_dir: str) -> None:
           f"{sum(lines(path_of[m]) for m in off)} lines")
     for m in off:
         print(f"  {lines(path_of[m]):6d}  {m}")
+    helpers = unreferenced_helpers(path_of)
+    print(f"unreferenced helpers: {len(helpers)}")
+    for h in helpers:
+        print(f"  {h}")
 
 
 if __name__ == "__main__":

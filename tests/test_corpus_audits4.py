@@ -1,6 +1,6 @@
-"""char_entropy (functions/entropy.py), good_turing_report
-(functions/corpusstats.py) and url_path_templates (functions/urlstats.py):
-hand truths on planted inputs plus DuckDB oracle parity on the sf corpus."""
+"""char_entropy (functions/entropy.py) and good_turing_report
+(functions/corpusstats.py): hand truths on planted inputs plus DuckDB oracle
+parity on the sf corpus."""
 
 import math
 import os
@@ -118,63 +118,3 @@ def test_good_turing_oracle_parity(ray_session):
     pd.testing.assert_frame_equal(
         got[sorted(got.columns)], want[sorted(want.columns)], check_dtype=False
     )
-
-
-# ---------------------------------------------------------------------------
-# url_path_templates
-# ---------------------------------------------------------------------------
-
-
-def test_url_path_templates_planted_sql(tmp_path):
-    """The SQL twin's template extraction on an edge-rich planted pages
-    file (the synthetic corpus has uniform /N/N paths, so edges pin here)."""
-    from safe_zone_ray.functions.urlstats import url_path_templates_oracle_sql
-
-    urls = [
-        "https://a.example/article/123",
-        "https://a.example/article/456",  # same template as above
-        "https://a.example/article/123/rev2",  # deeper -> distinct template
-        "https://WWW.A.Example:443/article/99",  # canon -> same host+template
-        "https://b.example",  # no path -> "/" (below min_pages, filtered)
-        "https://b.example/page2024/06",
-        "https://b.example/page1999/12",
-    ]
-    t = pa.Table.from_arrays([pa.array(urls, pa.string())], names=["url"])
-    f = tmp_path / "pages.parquet"
-    pq.write_table(t, f)
-    got = (
-        duckdb.sql(url_path_templates_oracle_sql(str(f)))
-        .df()
-        .sort_values(["host", "path_template"])
-        .reset_index(drop=True)
-    )
-    assert got.to_dict("records") == [
-        {"host": "a.example", "path_template": "/article/N", "n_pages": 3},
-        {"host": "b.example", "path_template": "/pageN/N", "n_pages": 2},
-    ]
-
-
-def test_url_path_templates_oracle_parity(ray_session):
-    from safe_zone_ray.functions.urlstats import (
-        url_path_templates,
-        url_path_templates_oracle_sql,
-    )
-    from safe_zone_ray.pages import synthesize_pages_dir
-
-    glob = synthesize_pages_dir(SF_DIR) + "/*.parquet"
-    got = (
-        url_path_templates(SF_DIR)
-        .to_pandas()
-        .sort_values(["host", "path_template"])
-        .reset_index(drop=True)
-    )
-    want = (
-        duckdb.sql(url_path_templates_oracle_sql(glob))
-        .df()
-        .sort_values(["host", "path_template"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        got[sorted(got.columns)], want[sorted(want.columns)], check_dtype=False
-    )
-    assert (got.n_pages >= 2).all()

@@ -640,46 +640,6 @@ def test_global_line_dedup_fragment_invariance(ray_session, tmp_path):
     assert keep_count == 1 and a[0][1].startswith("common line")
 
 
-def test_longest_docs_per_lang_planted(ray_session, tmp_path):
-    import os
-    import duckdb
-    import pyarrow.parquet as pq
-
-    from safe_zone_ray.functions.textstats import (
-        longest_docs_per_lang,
-        longest_docs_per_lang_oracle_sql,
-    )
-
-    langs = ["en"] * 6 + ["de"] * 4 + ["fr"]
-    n_chars = [10, 50, 50, 40, 5, 50, 9, 9, 9, 1, 7]  # en has a 3-way tie at 50
-    t = pa.Table.from_arrays(
-        [
-            pa.array(list(range(len(langs))), pa.int64()),
-            pa.array(langs, pa.string()),
-            pa.array(n_chars, pa.int64()),
-        ],
-        names=["doc_id", "lang", "n_chars"],
-    )
-    d = str(tmp_path / "topk")
-    os.makedirs(d)
-    pq.write_table(t, os.path.join(d, "documents.parquet"))
-    got = sorted(
-        (r["lang"], r["doc_id"], r["n_chars"])
-        for r in longest_docs_per_lang(d, k=3).take_all()
-    )
-    # en: the three 50s win, tie-break doc_id DESC irrelevant to the set;
-    # de: all three 9s (doc_id DESC drops doc 9's n_chars=1); fr: its one doc
-    assert got == [
-        ("de", 6, 9), ("de", 7, 9), ("de", 8, 9),
-        ("en", 1, 50), ("en", 2, 50), ("en", 5, 50),
-        ("fr", 10, 7),
-    ]
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{d}/documents.parquet')")
-    want = sorted(tuple(r) for r in con.execute(longest_docs_per_lang_oracle_sql(3)).fetchall())
-    assert [(l, int(a), int(b)) for l, a, b in want] == got
-
-
 def test_global_line_dedup_random_corpus_vs_oracle(ray_session, tmp_path):
     """Adversarial random corpus (heavy cross-doc line sharing, within-doc
     repeats, blank runs, unicode + RE2-\\S-edge lines, empty docs) compared

@@ -1,6 +1,6 @@
-"""classifier_auc / calibration_bins (functions/evalmetrics.py): oracle
+"""classifier_auc / quality_rank_fusion (functions/evalmetrics.py): oracle
 parity at sf0.001, a hand-computed planted-truth AUC (ties included), and
-internal consistency of the calibration table."""
+fusion tie handling."""
 
 import os
 
@@ -61,27 +61,6 @@ def test_classifier_auc_planted(ray_session, tmp_path):
     # pos2(1/6) beats neg(0) = 1 win, ties neg(1/6) = 0.5. AUC = 3.5/4.
     assert got.n_pos[0] == 2 and got.n_neg[0] == 2
     assert got.auc_micro[0] == 875_000
-
-
-def test_calibration_bins_oracle_parity(ray_session):
-    from safe_zone_ray.functions.evalmetrics import (
-        calibration_bins,
-        calibration_bins_oracle_sql,
-    )
-
-    got = calibration_bins(SF_DIR).to_pandas()
-    want = _duck(SF_DIR, calibration_bins_oracle_sql())
-    pd.testing.assert_frame_equal(
-        got[sorted(got.columns)].reset_index(drop=True),
-        want[sorted(want.columns)].reset_index(drop=True),
-        check_dtype=False,
-    )
-    # internal consistency: positives within bin count; bins ordered
-    assert (got.n_pos <= got.n_docs).all()
-    assert got.bin.is_monotonic_increasing
-    # bin mean score must sit inside the bin's range
-    mean = got.sum_score_micro / got.n_docs
-    assert ((mean >= got.bin * 100_000) & (mean <= (got.bin + 1) * 100_000)).all()
 
 
 def test_quality_rank_fusion_oracle_parity(ray_session):

@@ -134,76 +134,3 @@ def test_pagerank_single_host(ray_session, tmp_path):
     # all mass (minus floor dust) stays on the single node
     assert abs(int(got.rank_micro.iloc[0]) - G.PR_TOTAL) <= 100
     assert _rows(got) == _rows(_oracle(G.host_pagerank_oracle_sql(), d))
-
-
-# ---------------------------------------------------------------------------
-# host_triangles
-# ---------------------------------------------------------------------------
-
-
-def _brute_triangles(docs):
-    """Pure-Python reference: derive edges by the module rule, count each
-    node's triangle memberships in the distinct undirected simple graph."""
-    hosts = sorted({s for _, s in docs})
-    und = set()
-    for did, src in docs:
-        dst = hosts[(did * G.EDGE_SPREAD) % G.EDGE_PRIME % len(hosts)]
-        if src != dst:
-            und.add((min(src, dst), max(src, dst)))
-    count = {}
-    hs = sorted(hosts)
-    adj = {h: set() for h in hs}
-    for a, b in und:
-        adj[a].add(b)
-        adj[b].add(a)
-    for i, x in enumerate(hs):
-        for y in sorted(adj[x]):
-            if y <= x:
-                continue
-            for z in adj[x] & adj[y]:
-                if z > y:
-                    for node in (x, y, z):
-                        count[node] = count.get(node, 0) + 1
-    return count
-
-
-def test_host_triangles_planted_matches_brute(ray_session, tmp_path):
-    rng = np.random.RandomState(5)
-    docs = [(int(i), f"h{int(rng.randint(0, 8))}.example") for i in range(1, 120)]
-    t = pa.table(
-        {
-            "doc_id": pa.array([d for d, _ in docs], pa.int64()),
-            "source": pa.array([s for _, s in docs], pa.string()),
-        }
-    )
-    d = _write(tmp_path, t)
-    got = G.host_triangles(d).to_pandas()
-    assert dict(zip(got["host"], got["n_triangles"].astype("int64"))) == _brute_triangles(docs)
-
-
-def test_host_triangles_triangle_free_graph(ray_session, tmp_path):
-    # two hosts can at most form a single edge -> no triangles
-    docs = [(i, f"h{i % 2}.example") for i in range(1, 30)]
-    t = pa.table(
-        {
-            "doc_id": pa.array([d for d, _ in docs], pa.int64()),
-            "source": pa.array([s for _, s in docs], pa.string()),
-        }
-    )
-    d = _write(tmp_path, t)
-    assert G.host_triangles(d).count() == 0
-
-
-def test_host_triangles_matches_duckdb_sf0001(ray_session):
-    sf = "/root/testdata/sf0.001"
-    got = G.host_triangles(sf).to_pandas().sort_values("host").reset_index(drop=True)
-    want = (
-        _oracle(G.host_triangles_oracle_sql(), sf)
-        .sort_values("host")
-        .reset_index(drop=True)
-    )
-    assert got["host"].tolist() == want["host"].tolist()
-    assert (
-        got["n_triangles"].astype("int64").tolist()
-        == want["n_triangles"].astype("int64").tolist()
-    )

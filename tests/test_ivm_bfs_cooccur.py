@@ -1,6 +1,6 @@
-"""Incremental view maintenance (snapshot.incremental_lang_stats),
-depth-capped BFS (graph.host_bfs_depth) and PII type co-occurrence
-(__ray_entry__): DuckDB parity at sf0.001 plus structural invariants."""
+"""Incremental view maintenance (snapshot.incremental_lang_stats) and PII
+type co-occurrence (__ray_entry__): DuckDB parity at sf0.001 plus
+structural invariants."""
 
 import hashlib
 
@@ -48,30 +48,6 @@ def test_incremental_lang_stats_parity_and_delta(ray_session):
     assert (merged.n_docs != merged.n_docs_base).any() or (
         merged.n_chars != merged.n_chars_base
     ).any()
-
-
-def test_host_bfs_depth_parity_and_structure(ray_session):
-    from safe_zone_ray.functions.graph import (
-        host_bfs_depth,
-        host_bfs_depth_oracle_sql,
-        host_link_edges,
-    )
-
-    got = host_bfs_depth(SF_DIR).to_pandas()
-    want = _duck(host_bfs_depth_oracle_sql())
-    assert len(got) == len(want)
-    assert _value_hash(got) == _value_hash(want)
-    # exactly one seed at depth 0, and it is the lexicographic minimum host
-    seeds = got[got.depth == 0]
-    assert len(seeds) == 1
-    # every depth-d>0 host has an in-edge from some depth-(d-1) host
-    edges = host_link_edges(SF_DIR).to_pandas()
-    dmap = dict(zip(got.host, got.depth))
-    for h, d in dmap.items():
-        if d == 0:
-            continue
-        preds = edges[edges.dst == h].src
-        assert any(dmap.get(p, 10**9) == d - 1 for p in preds), (h, d)
 
 
 def test_pii_type_cooccurrence_parity(ray_session):

@@ -95,29 +95,3 @@ def test_word_lm_pipeline_column(ray_session):
     ds = build_quality_filter(pages, cfg)
     rows = ds.select_columns(["word_perplexity", "lang_id"]).take(50)
     assert all(r["word_perplexity"] > 0 for r in rows)
-
-
-def test_distributed_lm_training_matches_in_memory(ray_session, sf_dir):
-    """The 100-TB LM-training path: distributed combiner counting must build
-    the EXACT model the driver-side trainer builds from the same docs —
-    identical count tables and perplexities."""
-    import pyarrow.parquet as pq
-
-    from safe_zone_ray.quality import WordBigramLM, train_word_lm_distributed
-
-    docs = (
-        pq.read_table(f"{sf_dir}/documents.parquet", columns=["text"])
-        .column("text")
-        .to_pylist()
-    )
-    ref = WordBigramLM([d or "" for d in docs])
-    dist = train_word_lm_distributed(sf_dir)
-    assert dist.unigrams == ref.unigrams
-    assert dist.bigrams == ref.bigrams
-    assert dist.total == ref.total and dist.vocab_size == ref.vocab_size
-    for t in ["the quick brown fox", "zz unseen tokens qqq", ""]:
-        assert dist.perplexity(t) == ref.perplexity(t)
-    # pruned variant drops rare grams only
-    pruned = train_word_lm_distributed(sf_dir, min_count=3)
-    assert set(pruned.unigrams) == {w for w, c in ref.unigrams.items() if c >= 3}
-    assert all(c >= 3 for c in pruned.bigrams.values())

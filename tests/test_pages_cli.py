@@ -137,8 +137,7 @@ def test_cli_prep_subcommand(tmp_path):
 
 
 def test_jsonl_and_csv_pages_roundtrip(ray_session, tmp_path):
-    """JSONL/CSV ingest coerces to the exact pages schema; the JSONL
-    decisions sink round-trips through ray.data.read_json."""
+    """JSONL/CSV ingest coerces to the exact pages schema."""
     import base64
     import json
 
@@ -148,7 +147,6 @@ def test_jsonl_and_csv_pages_roundtrip(ray_session, tmp_path):
         PAGES_COLUMNS,
         read_pages_csv,
         read_pages_jsonl,
-        write_decisions_jsonl,
     )
 
     rows = [
@@ -186,18 +184,6 @@ def test_jsonl_and_csv_pages_roundtrip(ray_session, tmp_path):
     assert got[0]["url"] == "https://a.example/3"
     assert got[0]["html"] is None  # absent column -> nulls, schema intact
     assert got[0]["text"] == "from csv"
-
-    out = tmp_path / "decisions_jsonl"
-    write_decisions_jsonl(
-        read_pages_jsonl(str(jsonl)).drop_columns(["html", "warc_ts"]), str(out)
-    )
-    import ray.data
-
-    back = ray.data.read_json(str(out)).take_all()
-    assert sorted(r["url"] for r in back) == [
-        "https://a.example/1",
-        "https://a.example/2",
-    ]
 
 
 def test_cli_convert_jsonl_to_pages(tmp_path):

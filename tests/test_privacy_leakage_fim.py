@@ -1,7 +1,6 @@
-"""k-anonymity report (functions/privacy.py), split n-gram leakage
-(functions/leakage.py) and the FIM transform (functions/fim.py): oracle
-parity at sf0.001, planted-truth leakage on a tiny corpus, and the FIM
-reassembly invariant."""
+"""k-anonymity report (functions/privacy.py) and split n-gram leakage
+(functions/leakage.py): oracle parity at sf0.001 and planted-truth leakage
+on a tiny corpus."""
 
 import os
 
@@ -99,31 +98,6 @@ def test_split_ngram_leakage_planted(ray_session, tmp_path):
     assert row.n_cross_pairs == 2  # 2 train docs x 1 valid doc
     assert ("test", "train") not in got.index
     assert ("test", "valid") not in got.index
-
-
-def test_fim_oracle_parity(ray_session):
-    from safe_zone_ray.functions.fim import fim_transform, fim_transform_oracle_sql
-
-    got = fim_transform(SF_DIR).to_pandas()
-    want = _duck(SF_DIR, fim_transform_oracle_sql())
-    _cmp(got, want, "doc_id")
-
-
-def test_fim_reassembly_invariant(ray_session):
-    from safe_zone_ray.functions.fim import MID, PRE, SUF, fim_transform
-
-    got = fim_transform(SF_DIR).to_pandas().set_index("doc_id")
-    src = pd.read_parquet(
-        f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]
-    ).set_index("doc_id")
-    for doc_id, row in got.head(50).iterrows():
-        body = row.fim_text
-        assert body.startswith(PRE)
-        pre, rest = body[len(PRE) :].split(SUF, 1)
-        suf, mid = rest.split(MID, 1)
-        assert pre + mid + suf == src.loc[doc_id, "text"]
-        assert len(pre) == row.cut_lo
-        assert len(pre) + len(mid) == row.cut_hi
 
 
 def test_doc_ngram_novelty_oracle_parity(ray_session):

@@ -1,4 +1,4 @@
-"""Flesch reading ease + host skew report: hand truths + DuckDB parity."""
+"""Flesch reading ease: hand truths + DuckDB parity."""
 
 import duckdb
 import pandas as pd
@@ -9,11 +9,6 @@ from safe_zone_ray.functions.readability import (
     flesch_scores,
     flesch_scores_oracle_sql,
 )
-from safe_zone_ray.functions.urlstats import (
-    host_skew_report,
-    host_skew_report_oracle_sql,
-)
-from safe_zone_ray.oracle.decisions_sql import pages_glob_for
 
 
 def test_flesch_hand_truth(ray_session, tmp_path):
@@ -60,19 +55,3 @@ def test_flesch_duckdb_parity(ray_session, sf_dir):
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, o[a.columns], check_exact=True)
-
-
-def test_skew_report_parity_and_sanity(ray_session, sf_dir):
-    a = host_skew_report(sf_dir).to_pandas()
-    o = (
-        duckdb.connect()
-        .execute(host_skew_report_oracle_sql(pages_glob_for(sf_dir)))
-        .fetchdf()
-    )
-    pd.testing.assert_frame_equal(a, o[a.columns], check_exact=True)
-    row = a.iloc[0]
-    import math
-
-    # entropy bounded by ln(n_hosts); shares ordered and in (0, 1]
-    assert 0 < row.host_entropy_nats <= math.log(row.n_hosts) + 1e-9
-    assert 0 < row.top1_share <= row.top10_share <= 1.0

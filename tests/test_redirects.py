@@ -3,7 +3,6 @@ corpus-level parity that backs the `redirect_final_targets` oracle entry."""
 
 import duckdb
 import pyarrow as pa
-import pytest
 
 from safe_zone_ray.functions.redirects import (
     redirect_final_targets,
@@ -70,27 +69,3 @@ def test_redirect_final_targets_oracle_parity(ray_session):
     assert got == want
     assert len(got) == 2000
     assert any(h > 0 for _, h in got.values()), "corpus must contain redirects"
-
-
-def test_redirect_alias_groups_invariants(ray_session):
-    """Alias mass conservation (sum(n_aliases) == page count), singleton
-    dominance (most targets are phantom or terminal), and keeper
-    correctness: each group's first_url is the min url among the resolution
-    rows that share its final_url."""
-    from safe_zone_ray.functions.redirects import redirect_alias_groups
-
-    rows = redirect_alias_groups(SF).take_all()
-    assert sum(r["n_aliases"] for r in rows) == 2000
-    assert any(r["n_aliases"] > 1 for r in rows), "chains must merge aliases"
-    assert all(r["n_aliases"] >= 1 for r in rows)
-    singletons = sum(1 for r in rows if r["n_aliases"] == 1)
-    assert singletons > len(rows) // 2, "singleton groups must dominate"
-    # keeper correctness against the resolution output itself
-    resolved = redirect_final_targets(SF).take_all()
-    by_final: dict[str, list[str]] = {}
-    for r in resolved:
-        by_final.setdefault(r["final_url"], []).append(r["url"])
-    for r in rows:
-        members = by_final[r["final_url"]]
-        assert r["n_aliases"] == len(members)
-        assert r["first_url"] == min(members)

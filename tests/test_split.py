@@ -1,5 +1,5 @@
 """Deterministic hash split: hand-computed bucket truths, band fractions,
-stability under re-crawl (id-pure), and the stratification audit."""
+and stability under re-crawl (id-pure)."""
 
 import numpy as np
 import pyarrow as pa
@@ -11,7 +11,6 @@ from safe_zone_ray.functions.split import (
     TRAIN_LT,
     VALID_LT,
     _buckets,
-    split_lang_balance,
     train_split_assignment,
 )
 
@@ -58,11 +57,3 @@ def test_band_fractions_on_corpus(ray_session, sf_dir):
     )
     assert (df.split == want).all()
     assert df.doc_id.nunique() == n  # one row per doc
-
-
-def test_lang_balance_fracs_sum_to_one(ray_session, sf_dir):
-    bal = split_lang_balance(sf_dir).to_pandas()
-    sums = bal.groupby("split").frac.sum()
-    assert ((sums - 1.0).abs() < 1e-4).all()  # 6dp rounding residue only
-    totals = bal.groupby("split").n_docs.sum()
-    assert totals.sum() == 500

@@ -1,22 +1,18 @@
 """Exact substring dedup (functions/substring.py): planted shared-passage
-truths, a seeded brute-force fuzz of stats + keep-first scrub semantics, and
-hash parity with the DuckDB twin on the fuzz corpora (the same compare the
-driver runs at sf0.01)."""
+truths, a seeded brute-force fuzz of the per-doc stats, and parity with the
+DuckDB twin on the fuzz corpora (the same compare the driver runs at
+sf0.01)."""
 
-import hashlib
 import os
 import random
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from safe_zone_ray.functions.substring import (
     exact_substring_dup_stats,
     exact_substring_dup_stats_oracle_sql,
-    exact_substring_scrub,
-    exact_substring_scrub_oracle_sql,
     _window_fingerprints,
 )
 
@@ -34,21 +30,18 @@ def _write_docs(tmp_path, texts) -> str:
 
 
 def _brute(texts, L):
-    """Pure-Python reference: duplicated positions, keep-first redundant
-    positions, per-doc interval-union stats, and the spliced texts."""
+    """Pure-Python reference: duplicated positions and per-doc
+    interval-union stats."""
     sites = {}
     for did, text in enumerate(texts, 1):
         for p in range(len(text) - L + 1):
             sites.setdefault(text[p : p + L], []).append((did, p))
-    dup, red = {}, {}
-    for g, occ in sites.items():
+    dup = {}
+    for occ in sites.values():
         if len(occ) < 2:
             continue
-        occ.sort()
         for did, p in occ:
             dup.setdefault(did, set()).add(p)
-        for did, p in occ[1:]:
-            red.setdefault(did, set()).add(p)
     def union(ps):
         spans = []
         for p in sorted(ps):
@@ -57,20 +50,10 @@ def _brute(texts, L):
             else:
                 spans.append([p, p + L])
         return spans
-    stats = {
+    return {
         did: (len(union(ps)), sum(e - s for s, e in union(ps)))
         for did, ps in dup.items()
     }
-    scrubbed = {}
-    for did, ps in red.items():
-        text = texts[did - 1]
-        kept, prev = [], 0
-        for s, e in union(ps):
-            kept.append(text[prev:s])
-            prev = e
-        kept.append(text[prev:])
-        scrubbed[did] = "".join(kept)
-    return stats, scrubbed
 
 
 def _rand_corpus(rng, n_docs=20, alpha="ab", lo=0, hi=40):
@@ -99,8 +82,8 @@ def test_planted_shared_passage(ray_session, tmp_path):
     L = 10
     passage = "0123456789ABCDEFGHIJ"  # 20 chars: 11 dup positions, 1 span
     texts = [
-        "aaaa" + passage + "bbbb",  # doc 1: canonical, survives intact
-        "cccc" + passage + "dddd",  # doc 2: passage spliced out
+        "aaaa" + passage + "bbbb",
+        "cccc" + passage + "dddd",
         "eeeeeeeeeeeeeeeeeeeeeeee",  # self-repetitive: dup within one doc
     ]
     d = _write_docs(tmp_path, texts)
@@ -113,14 +96,6 @@ def test_planted_shared_passage(ray_session, tmp_path):
     assert stats[1] == (1, len(passage))
     assert stats[2] == (1, len(passage))
     assert stats[3] == (1, 24)
-    scrub = {
-        r["doc_id"]: r["scrubbed_text"]
-        for r in exact_substring_scrub(d, L=L).take_all()
-    }
-    assert 1 not in scrub  # doc 1 owns every canonical site
-    assert scrub[2] == "ccccdddd"
-    # doc 3: positions 1..14 are redundant (pos 0 canonical), union [1, 24)
-    assert scrub[3] == "e"
 
 
 def test_fuzz_matches_bruteforce_and_sql(ray_session, tmp_path):
@@ -129,17 +104,12 @@ def test_fuzz_matches_bruteforce_and_sql(ray_session, tmp_path):
         L = rng.choice([3, 5, 8])
         texts = _rand_corpus(rng)
         d = _write_docs(tmp_path, texts)
-        stats, scrubbed = _brute(texts, L)
+        stats = _brute(texts, L)
         got_stats = {
             r["doc_id"]: (r["dup_spans"], r["dup_chars"])
             for r in exact_substring_dup_stats(d, L=L).take_all()
         }
         assert got_stats == stats, f"trial {trial} L={L}"
-        got_scrub = {
-            r["doc_id"]: r["scrubbed_text"]
-            for r in exact_substring_scrub(d, L=L).take_all()
-        }
-        assert got_scrub == scrubbed, f"trial {trial} L={L}"
         # SQL twin parity on the same corpus
         con = duckdb.connect()
         con.sql(
@@ -151,11 +121,6 @@ def test_fuzz_matches_bruteforce_and_sql(ray_session, tmp_path):
             for r in con.sql(exact_substring_dup_stats_oracle_sql(L=L)).fetchall()
         }
         assert want == stats
-        want_s = {
-            int(r[0]): r[1]
-            for r in con.sql(exact_substring_scrub_oracle_sql(L=L)).fetchall()
-        }
-        assert want_s == scrubbed
         con.close()
 
 
@@ -166,5 +131,3 @@ def test_short_and_empty_docs(ray_session, tmp_path):
         3: (1, 5),
         4: (1, 5),
     }
-    scrub = exact_substring_scrub(d, L=5).take_all()
-    assert {r["doc_id"]: r["scrubbed_text"] for r in scrub} == {4: ""}

@@ -2,7 +2,6 @@
 
 import duckdb
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from safe_zone_ray.functions.urlstats import (
     BLOCKED_HOSTS,
@@ -215,71 +214,3 @@ def test_normalize_text_nfc_planted(ray_session, tmp_path):
         .reset_index(drop=True)
     )
     assert got.equals(want)
-
-
-# ------------------------------------------------------ host_suffix_blocklist
-
-
-def test_host_suffix_blocklist_planted():
-    """Suffix semantics: entry matches exact host AND any subdomain, first
-    entry in list order wins; non-matching and schemeless urls pass."""
-    import pyarrow.compute as _pc
-
-    from safe_zone_ray.functions import urlstats
-
-    urls = pa.array(
-        [
-            "https://web03.example-com/1/0",  # exact-host entry
-            "https://deep.web03.example-com/x",  # subdomain of exact entry
-            "https://web04.example-org/2/1",  # subdomain of domain entry
-            "https://example-org/root",  # the domain itself
-            "https://web04.example-net/3/0",  # unblocked
-            "https://notexample-org/x",  # suffix without dot -> NOT blocked
-            None,
-        ]
-    )
-    host = urlstats._canonical_hosts(urls)
-    hn = host.to_pylist()
-    # replicate the kernel's decision inline
-    got = []
-    for h in hn:
-        m = None
-        for e in urlstats.BLOCKED_SUFFIXES:
-            if h == e or h.endswith("." + e):
-                m = e
-                break
-        got.append(m)
-    assert got == [
-        "web03.example-com",
-        "web03.example-com",
-        "example-org",
-        "example-org",
-        None,
-        None,
-        None,
-    ]
-
-
-def test_host_suffix_blocklist_sf_oracle(ray_session, sf_dir):
-    from safe_zone_ray.functions.urlstats import (
-        host_suffix_blocklist,
-        host_suffix_blocklist_oracle_sql,
-    )
-    from safe_zone_ray.oracle import pages_glob_for
-
-    got = (
-        host_suffix_blocklist(sf_dir)
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    want = (
-        duckdb.sql(host_suffix_blocklist_oracle_sql(pages_glob_for(sf_dir)))
-        .df()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert got.equals(want)
-    assert len(got) > 0
-    # both rule kinds fire on the synthetic corpus
-    assert set(got.matched_suffix) == {"web03.example-com", "example-org"}
