@@ -49,18 +49,7 @@ _DIACRITICS: dict[str, str] = {
     "tr": "ğışİçöü",
 }
 
-# Vectorization artifacts (used by the batch scorer in stages/langquality.py):
-# a stopword regex per language counts exactly the same hits as token-set
-# membership, because every \w+ token is flanked by \b boundaries.
 LANGS: tuple[str, ...] = tuple(PROFILES)
-STOPWORD_REGEX: dict[str, str] = {
-    lang: r"\b(" + "|".join(sorted(words)) + r")\b" for lang, words in PROFILES.items()
-}
-# applied to the LOWERCASED column — mirrors lower_text.count(c) exactly
-DIACRITIC_REGEX: dict[str, str] = {
-    lang: "[" + chars + "]" for lang, chars in _DIACRITICS.items()
-}
-CJK_REGEX = "[一-鿿぀-ヿ가-힯]"
 
 
 def _cjk_fraction(text: str) -> float:

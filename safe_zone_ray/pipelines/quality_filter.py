@@ -86,21 +86,43 @@ def run_chain(batch: pa.Table, stages) -> pa.Table:
 
 class QualityChain:
     """Actor-pool form of ``run_chain``: the langquality model state (a
-    fastText file, a corpus-trained LM) is built once per actor and slotted
-    in after extract."""
+    fastText file, a corpus-trained LM) is built once per actor, from the
+    kwargs of the langquality slot of ``stages``, and takes that slot."""
 
-    def __init__(self, stages, config, word_lm=None, model_path=None):
-        lq = LangQualityStage(config, model_path=model_path, word_lm=word_lm)
-        self.stages = (stages[0], (lq, {}), *stages[1:])
+    def __init__(self, stages, word_lm=None):
+        lq = LangQualityStage(**stages[1][1], word_lm=word_lm)
+        self.stages = (stages[0], (lq, {}), *stages[2:])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return run_chain(batch, self.stages)
 
 
+def quality_stages(cfg: PipelineConfig) -> tuple:
+    """The ``(kernel, kwargs)`` stage tuple of the pipeline: extract,
+    langquality, detect/scrub, decide. Kernels are looked up by name when
+    this is called and shipped as values, so whatever the names are bound to
+    now (e.g. a tracing wrapper) is what runs."""
+    from safe_zone_ray.stages.langquality import langquality_batch
+
+    return (
+        (extract_batch, {}),
+        (langquality_batch, {"config": cfg.quality, "model_path": cfg.fasttext_model_path}),
+        (
+            detect_scrub_batch,
+            {
+                "registry_path": cfg.registry_path,
+                "mode": cfg.mode,
+                "guardrails": cfg.guardrails,
+                "context_scoring": cfg.context_scoring,
+            },
+        ),
+        (decide_batch, {"allowed_langs": cfg.allowed_langs}),
+    )
+
+
 def build_quality_filter(
     pages: ray.data.Dataset | str,
     cfg: PipelineConfig | None = None,
-    include_paths: bool = False,
 ) -> ray.data.Dataset:
     """Lazy Dataset of decisions rows; consume with write_parquet/iter_batches."""
     cfg = cfg or PipelineConfig()
@@ -110,45 +132,24 @@ def build_quality_filter(
 
         word_lm = train_word_lm_from_pages(pages, cfg.word_lm_sample_rows)
     if isinstance(pages, str):
-        pages = read_pages(pages, include_paths=include_paths)
+        pages = read_pages(pages)
 
-    # kernels are resolved by name here, at build time, and shipped as
-    # values: whatever the names are bound to now (e.g. a tracing wrapper)
-    # is what runs
-    extract = (extract_batch, {})
-    detect = (
-        detect_scrub_batch,
-        {
-            "registry_path": cfg.registry_path,
-            "mode": cfg.mode,
-            "guardrails": cfg.guardrails,
-            "context_scoring": cfg.context_scoring,
-        },
-    )
-    decide = (decide_batch, {"allowed_langs": cfg.allowed_langs})
+    stages = quality_stages(cfg)
     if cfg.langquality_actor_pool or word_lm is not None or cfg.fasttext_model_path:
         # the (possibly corpus-trained) LM is serialized once per actor, never
         # per batch; a fastText model file is read once per actor
         return pages.map_batches(
             QualityChain,
-            fn_constructor_kwargs={
-                "stages": (extract, detect, decide),
-                "config": cfg.quality,
-                "word_lm": word_lm,
-                "model_path": cfg.fasttext_model_path,
-            },
+            fn_constructor_kwargs={"stages": stages, "word_lm": word_lm},
             batch_format="pyarrow",
             batch_size=None,
             # autoscaling actor pool: small jobs don't pay full pool
             # spin-up, large jobs grow to the cluster
             concurrency=(1, cfg.resolved_concurrency()),
         )
-    from safe_zone_ray.stages.langquality import langquality_batch
-
-    lq = (langquality_batch, {"config": cfg.quality})
     return pages.map_batches(
         run_chain,
-        fn_kwargs={"stages": (extract, lq, detect, decide)},
+        fn_kwargs={"stages": stages},
         batch_format="pyarrow",
         batch_size=None,
     )

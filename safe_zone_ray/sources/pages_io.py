@@ -1,11 +1,10 @@
-"""Pages reader and decisions writer.
+"""Pages readers.
 
 S1/S2 analogue (SURVEY.md section 2.1): ``read_pages`` reads the pages
 directory through ``PagesDatasource``, one read task per Parquet file,
 planned from the files' footers — each row is one ``DetectRequest``.
-``include_paths`` tags every row with its input fragment (file) for
-lineage/resume. S5/S6 analogue: partitioned Parquet decisions + lineage
-sidecar.
+``include_paths`` tags every row with its input file. The decisions sink
+and its lineage sidecar (S5/S6) live in ``state/lineage.py``.
 """
 
 from __future__ import annotations
@@ -149,15 +148,6 @@ def read_pages(
         DEFAULT_TARGET_MAX_BLOCK_SIZE, max(MIN_BLOCK_BYTES, 2 * max(source.sizes))
     )
     return ds
-
-
-def write_decisions(ds: ray.data.Dataset, out_dir: str, partition_cols: list[str] | None = None) -> None:
-    """Write the decisions table as partitioned Parquet (resumable layout:
-    one directory per partition key — never one giant file)."""
-    if partition_cols:
-        ds.write_parquet(out_dir, partition_cols=partition_cols)
-    else:
-        ds.write_parquet(out_dir)
 
 
 def _coerce_pages_batch(batch):

@@ -236,7 +236,7 @@ def write_wet(
     """DISTRIBUTED WET export sink: the kept/scrubbed corpus as ISO 28500
     ``conversion`` records (the Common-Crawl WET layout downstream trainers
     ingest), one ``.warc[.gz]`` file per output block — the archive-side
-    counterpart of ``write_decisions``. Retry-safe: each task derives its
+    counterpart of the Parquet decisions files. Retry-safe: each task derives its
     file name from the md5 of its url set, so a re-executed task (same
     batch) overwrites its own file instead of duplicating records, and the
     tmp file is published atomically OUTSIDE the output dir (a crashed

@@ -119,16 +119,17 @@ class LangQualityStage:
                 self._lang_matrix[li, pos[w]] = True
 
     @classmethod
-    def cached(cls, config: QualityConfig | None = None) -> "LangQualityStage":
+    def cached(
+        cls, config: QualityConfig | None = None, model_path: str | None = None
+    ) -> "LangQualityStage":
         """Per-worker-process cached instance for the stateless-task variant
-        of this stage: long-lived Ray workers build the model once, exactly
-        like an actor ``__init__``, but without actor-pool spin-up latency.
-        Appropriate while the model state is cheap/shareable; switch to the
-        actor-pool variant when holding a real fastText/KenLM model."""
+        of this stage, keyed on ``(config, model_path)``: long-lived Ray
+        workers build the model, a fastText file included, once, exactly
+        like an actor ``__init__``, but without actor-pool spin-up latency."""
         global _CACHED_STAGE
-        config = config or QualityConfig()  # normalise so None hits the cache
-        if _CACHED_STAGE is None or _CACHED_STAGE.config != config:
-            _CACHED_STAGE = cls(config)
+        key = (config or QualityConfig(), model_path)  # normalise so None hits the cache
+        if _CACHED_STAGE is None or (_CACHED_STAGE.config, _CACHED_STAGE.model_path) != key:
+            _CACHED_STAGE = cls(*key)
         return _CACHED_STAGE
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -462,6 +463,8 @@ def _dup_line_fraction(text_arr: pa.Array):
 _CACHED_STAGE: LangQualityStage | None = None
 
 
-def langquality_batch(batch: pa.Table, config: QualityConfig | None = None) -> pa.Table:
+def langquality_batch(
+    batch: pa.Table, config: QualityConfig | None = None, model_path: str | None = None
+) -> pa.Table:
     """Stateless-task form of the stage (state via per-process cache)."""
-    return LangQualityStage.cached(config)(batch)
+    return LangQualityStage.cached(config, model_path)(batch)

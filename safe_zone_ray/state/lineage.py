@@ -5,26 +5,32 @@ killed ray job resumes without recomputation").
 
 Layout under ``out_dir``:
 
-    decisions/fragment_id=<frag>/*.parquet    (hive-partitioned decisions)
-    _manifest/<frag>.json                     (written AFTER the fragment's
-                                               lineage is durable — the commit
-                                               record; its presence means the
-                                               fragment is complete)
-    _lineage/<frag>.json                      (row counts, kept/dropped,
-                                               drop-reason histogram)
+    decisions/fragment_id=<frag>/part-<run>.parquet
+        hive-partitioned decisions, one file per fragment
+    _manifest/<frag>.json
+        written AFTER the fragment's lineage is durable — the commit record;
+        its presence means the fragment is complete
+    _lineage/<frag>.json
+        row counts, kept/dropped, drop-reason histogram
 
 The unit of checkpointing is one input Parquet file (fragment). A run:
 1. lists input fragments, loads the manifest, prunes completed fragments;
 2. deletes any partition dir whose fragment has NO manifest (partial output
-   from a crash — only uncommitted work is discarded);
-3. streams the remaining fragments through the pipeline in ONE Dataset
-   (pipelining across fragments), writing hive-partitioned by fragment_id;
-4. folds the lineage counters inside the write (each write task returns the
-   per-fragment counts of what it wrote), checks each fragment's rows against
-   its input file's footer, and writes lineage then manifest records.
+   from a crash — only uncommitted work is discarded) and any stray ``*.tmp``
+   file of an atomic write cut short;
+3. reads every remaining input footer, then submits one plain Ray task per
+   fragment: it reads the file, runs the stage chain, folds the lineage
+   counters, checks the folded rows against the footer's row count, and only
+   then writes the fragment's one decisions file (tmp + fsync + rename);
+4. as each task returns, writes that fragment's lineage then manifest record,
+   so no fragment's commit waits for another's and a kill loses only the
+   fragments still in flight.
 
 Kernels are deterministic (hash-derived placeholders, pure functions of the
 row), so a resumed run produces output identical to an uninterrupted one.
+Each invocation names its files once (``part-<run>.parquet``), so within it
+a Ray retry of a fragment's task rewrites the same file with the same bytes
+instead of adding rows.
 """
 
 from __future__ import annotations
@@ -34,33 +40,22 @@ import glob
 import json
 import os
 import shutil
+import uuid
 from dataclasses import dataclass, field
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
-from ray.data.block import BlockAccessor
+import ray
 
-from safe_zone_ray.pipelines.quality_filter import PipelineConfig, build_quality_filter
-from safe_zone_ray.sources.pages_io import read_pages
+from safe_zone_ray.pipelines.quality_filter import PipelineConfig, quality_stages, run_chain
+from safe_zone_ray.sources.pages_io import PAGES_COLUMNS
 from safe_zone_ray.state.metrics import write_metrics_sidecar
 from safe_zone_ray.state.siem import drain_lineage
 
 
 def fragment_id_of(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
-
-
-# fragment_id_of as one Arrow kernel: the basename up to its last dot, unless
-# that dot is one of the basename's leading dots (os.path.splitext's rule)
-_FRAGMENT_ID_RE = r"(?s)^(?:.*/)?(?P<fragment_id>\.*[^/]*?)(?:\.[^./]*)?$"
-
-
-def _tag_fragment(batch: pa.Table) -> pa.Table:
-    parts = pc.extract_regex(batch.column("path"), _FRAGMENT_ID_RE)
-    frags = pc.struct_field(parts, "fragment_id")
-    return batch.drop_columns(["path"]).append_column("fragment_id", frags)
 
 
 # map<string,int32> as its entry list: list_parent_indices on the map type
@@ -102,31 +97,6 @@ def fold_lineage(t: pa.Table) -> dict[str, dict]:
     for f, key, v in _rows(types, "fragment_id", "key", "value_sum"):
         acc[f]["types"][key] += v
     return dict(acc)
-
-
-def merge_lineage(partials: list[dict[str, dict]]) -> dict[str, dict]:
-    merged: dict[str, dict] = collections.defaultdict(_new_counts)
-    for part in partials:
-        for frag, p in part.items():
-            for k, counts in p.items():
-                merged[frag][k].update(counts)
-    return merged
-
-
-class LineageParquetDatasink(ParquetDatasink):
-    """``write_parquet``'s sink that also folds lineage: each write task
-    returns ``fold_lineage`` of the rows it wrote, and the driver's instance
-    keeps them in ``write_returns``. No second pass over the written files."""
-
-    def write(self, blocks, ctx) -> dict[str, dict]:
-        blocks = list(blocks)
-        super().write(blocks, ctx)
-        tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks) if t.num_rows]
-        return fold_lineage(pa.concat_tables(tables)) if tables else {}
-
-    def on_write_complete(self, write_result) -> None:
-        super().on_write_complete(write_result)
-        self.write_returns = write_result.write_returns
 
 
 @dataclass
@@ -171,12 +141,45 @@ def write_json_atomic(path: str, obj: dict, indent: int | None = None) -> None:
 
 
 def _clean_uncommitted(out_dir: str, done: set[str]) -> None:
+    """Drop the output of fragments without a manifest and every stray
+    ``*.tmp`` of an atomic write that a kill cut short."""
     ddir = os.path.join(out_dir, "decisions")
-    if not os.path.isdir(ddir):
-        return
-    for part in os.listdir(ddir):
-        if part.startswith("fragment_id=") and part.split("=", 1)[1] not in done:
-            shutil.rmtree(os.path.join(ddir, part), ignore_errors=True)
+    if os.path.isdir(ddir):
+        for part in os.listdir(ddir):
+            if part.startswith("fragment_id=") and part.split("=", 1)[1] not in done:
+                shutil.rmtree(os.path.join(ddir, part), ignore_errors=True)
+    for sub in ("decisions/*", "_manifest", "_lineage"):
+        for tmp in glob.glob(os.path.join(out_dir, sub, "*.tmp")):
+            os.remove(tmp)
+
+
+@ray.remote
+def _run_fragment(path: str, frag: str, rows_want: int, dest: str, stages) -> dict:
+    """Read one fragment, run the stage chain, fold and check its lineage,
+    then write its decisions to ``dest``; returns the fold. A fragment whose
+    folded rows disagree with its input footer raises and leaves no file.
+    ``dest`` is fixed for every attempt of the task, so a Ray retry or a
+    late straggler rewrites the same bytes instead of adding rows."""
+    table = pq.read_table(path, columns=PAGES_COLUMNS)
+    counts = _new_counts()
+    if table.num_rows:
+        table = run_chain(table, stages)
+        tagged = table.append_column("fragment_id", pa.repeat(frag, table.num_rows))
+        counts = fold_lineage(tagged).get(frag, counts)
+    if counts["n"]["rows"] != rows_want:
+        raise RuntimeError(
+            f"fragment {frag}: wrote {counts['n']['rows']} decision rows, input {path} "
+            f"has {rows_want}; not committed"
+        )
+    if table.num_rows:
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        tmp = f"{dest}.{uuid.uuid4().hex}.tmp"  # one per attempt
+        with open(tmp, "wb") as f:
+            pq.write_table(table, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, dest)
+    return counts
 
 
 def run_job(
@@ -186,9 +189,13 @@ def run_job(
     resume: bool = True,
     max_fragments: int | None = None,
 ) -> JobResult:
-    """Run (or resume) the quality-filter job. ``max_fragments`` bounds how
-    many NEW fragments are processed this invocation (used by the resume test
-    to simulate a kill between checkpoints)."""
+    """Run (or resume) the quality-filter job: one Ray task per fragment
+    still to do, each fragment committed as soon as its task returns. If a
+    task fails, the fragments that finished are committed and the first
+    failure is raised. ``max_fragments`` bounds how many NEW fragments are
+    processed this invocation (used by the resume test to simulate a kill
+    between checkpoints). ``cfg.word_lm_sample_rows`` is not used here: the
+    job trains no word LM."""
     from safe_zone_ray import __version__ as engine_version
     from safe_zone_ray.registry import load_registry
 
@@ -209,30 +216,37 @@ def run_job(
         result.lineage = _load_lineage(out_dir)
         return result
 
-    ds = read_pages(todo, include_paths=True).map_batches(_tag_fragment, batch_format="pyarrow")
-    decisions = build_quality_filter(ds, cfg)
-    # same sink, partitioning and file names as write_parquet
-    sink = LineageParquetDatasink(
-        os.path.join(out_dir, "decisions"),
-        partition_cols=["fragment_id"],
-        dataset_uuid=decisions._uuid,
-    )
-    decisions.write_datasink(sink)
-    merged = merge_lineage(sink.write_returns)
-
+    # every footer is read before any task runs: a file that cannot be read
+    # fails the invocation, with its name, and commits nothing
+    rows_want = {}
+    for path in todo:
+        try:
+            rows_want[path] = pq.read_metadata(path).num_rows
+        except (OSError, pa.ArrowException) as e:
+            raise type(e)(f"cannot read the Parquet footer of {path}: {e}") from e
     try:
         registry_version = load_registry(cfg.registry_path).version
     except Exception:
         registry_version = "unknown"
+
+    # one decisions file per fragment, named for this invocation
+    name = f"part-{uuid.uuid4().hex}.parquet"
+    stages = quality_stages(cfg)
+    pending = {}
     for path in todo:
         frag = fragment_id_of(path)
-        m, n = merged[frag], merged[frag]["n"]
-        want = pq.ParquetFile(path).metadata.num_rows
-        if n["rows"] != want:
-            raise RuntimeError(
-                f"fragment {frag}: wrote {n['rows']} decision rows, input {path} has "
-                f"{want}; not committed"
-            )
+        dest = os.path.join(out_dir, "decisions", f"fragment_id={frag}", name)
+        pending[_run_fragment.remote(path, frag, rows_want[path], dest, stages)] = path
+    error = None
+    while pending:
+        [ref], _ = ray.wait(list(pending))
+        path = pending.pop(ref)
+        try:
+            counts = ray.get(ref)
+        except ray.exceptions.RayError as e:  # commit the rest, then raise
+            error = error or e
+            continue
+        frag, n = fragment_id_of(path), counts["n"]
         lineage_rec = {
             "fragment_id": frag,
             "engine_version": engine_version,
@@ -242,10 +256,10 @@ def run_job(
             "kept": n["kept"],
             "dropped": n["rows"] - n["kept"],
             "contains_pii": n["pii"],
-            "drop_reason_hist": dict(sorted(m["hist"].items())),
+            "drop_reason_hist": dict(sorted(counts["hist"].items())),
             # SecurityEvent corpus analogue (SURVEY S6/S7): per-fragment
             # detection counts by recognizer type
-            "detection_type_hist": dict(sorted(m["types"].items())),
+            "detection_type_hist": dict(sorted(counts["types"].items())),
         }
         write_json_atomic(os.path.join(out_dir, "_lineage", f"{frag}.json"), lineage_rec)
         # manifest write is the commit point — lineage is durable first
@@ -255,6 +269,8 @@ def run_job(
         )
         result.fragments_processed += 1
         result.rows_processed += n["rows"]
+    if error is not None:
+        raise error
 
     # session-wide operator metrics (bucket-cap drops, convergence rounds)
     # land beside the per-fragment records so the job audit sees them

@@ -6,8 +6,9 @@ GOLDEN / GOLDEN_SF001 sizes, the entries that qualify for the driver window
 (oracle-backed and absent from CORRECTNESS_r01-r04), whether this checkout's
 query order meets the conditions of tests/test_query_order.py, the
 modules that no import statement, top-level or lazy, reaches from the engine
-entry points, and the top-level functions and classes of the package whose
-name no file outside tests/ mentions apart from their own definition.
+entry points, and the top-level functions, classes and module-level
+constants of the package whose name no file outside tests/ mentions apart
+from their own definition.
 """
 
 from __future__ import annotations
@@ -50,19 +51,32 @@ def imports(path: str, known: set[str]) -> set[str]:
     return parts & known
 
 
+def top_level_names(tree: ast.Module) -> list[str]:
+    """Functions, classes and module-level constants (plain or annotated
+    assignments to a name, dunders such as ``__all__`` left out)."""
+    out = []
+    for n in tree.body:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(n.name)
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            out += [t.id for t in targets
+                    if isinstance(t, ast.Name) and not t.id.startswith("__")]
+    return out
+
+
 def unreferenced_helpers(path_of: dict[str, str]) -> list[str]:
-    """`module.name` of every top-level function or class in the package
-    whose name occurs, as a whole word, in no .py file outside tests/ except
-    at its own definition: a helper only tests still call."""
+    """`module.name` of every top-level function, class or constant in the
+    package whose name occurs, as a whole word, in no .py file outside
+    tests/ except at its own definition: a helper only tests still use."""
     texts = [read(f) for f in glob.glob(os.path.join(ROOT, "**", "*.py"), recursive=True)
              if not os.path.relpath(f, ROOT).startswith("tests" + os.sep)]
     out = []
     for m in sorted(path_of):
-        for n in ast.parse(read(path_of[m])).body:
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                word = re.compile(rf"\b{re.escape(n.name)}\b")
-                if sum(len(word.findall(t)) for t in texts) <= 1:
-                    out.append(f"{m}.{n.name}")
+        for name in top_level_names(ast.parse(read(path_of[m]))):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if sum(len(word.findall(t)) for t in texts) <= 1:
+                out.append(f"{m}.{name}")
     return out
 
 

@@ -4,10 +4,18 @@ score batches) — the real-model slot named by the north star."""
 
 from __future__ import annotations
 
+import os
+import sys
+import uuid
+
 import numpy as np
 import pytest
+import ray
 
 from safe_zone_ray.fasttext_bin import EOS, FastTextModel, ft_hash, load_model, write_model
+
+# the kernel wrapper below runs in Ray workers, which cannot import this file
+ray.cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 
 def _toy_model(tmp_path, bucket=0, minn=0, maxn=0, word_ngrams=1):
@@ -124,6 +132,77 @@ def test_pipeline_with_fasttext_model(ray_session, tmp_path):
     df = ds.limit(200).to_pandas()
     assert len(df) == 200
     assert set(df["lang_id"]) <= {"en", "de", "fr", "und"}
+
+
+class StageLog:
+    """Test-only langquality wrapper: after each call, logs the worker pid
+    and a tag first set on the cached stage that scored the batch, so a
+    stage built (and its model file loaded) twice in one process shows as
+    two tags."""
+
+    def __init__(self, fn, log: str):
+        self.fn, self.log = fn, log
+
+    def __call__(self, batch, **kwargs):
+        from safe_zone_ray.stages import langquality as lq
+
+        out = self.fn(batch, **kwargs)
+        stage = lq._CACHED_STAGE
+        if not hasattr(stage, "test_tag"):
+            stage.test_tag = uuid.uuid4().hex
+        with open(self.log, "a") as f:
+            f.write(f"{os.getpid()} {stage.test_tag} {stage.ft_model is not None}\n")
+        return out
+
+
+def test_job_loads_fasttext_once_per_worker(ray_session, sf_dir, tmp_path, monkeypatch):
+    """``run_job`` with a fastText model runs on its per-fragment tasks: over
+    two invocations each worker process loads the model at most once, and
+    the decisions equal the actor-pool flagship's."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import safe_zone_ray.stages.langquality as lq
+    from safe_zone_ray.pages import synthesize_pages_dir
+    from safe_zone_ray.pipelines.quality_filter import PipelineConfig, build_quality_filter
+    from safe_zone_ray.state.lineage import run_job
+
+    path, *_ = _toy_model(tmp_path)
+    # 500 docs x 4 variants / 125 rows per file -> 17 fragments, more than
+    # the session has worker processes, so some process scores several
+    pages = synthesize_pages_dir(
+        sf_dir,
+        out_dir="/tmp/szr_pages_fasttext",
+        rows_per_file=125,
+        force=True,
+    )
+    cfg = PipelineConfig(fasttext_model_path=path)
+    log = str(tmp_path / "stages.log")
+    out = str(tmp_path / "job")
+    with monkeypatch.context() as m:
+        m.setattr(lq, "langquality_batch", StageLog(lq.langquality_batch, log))
+        n = len(glob.glob(f"{pages}/*.parquet"))
+        assert run_job(pages, out, cfg, max_fragments=n // 2).fragments_processed == n // 2
+        assert run_job(pages, out, cfg).fragments_processed == n - n // 2
+    with open(log) as f:
+        calls = [line.split() for line in f]
+    assert len(calls) == n and all(loaded == "True" for _, _, loaded in calls)
+    tags: dict[str, list] = {}
+    for pid, tag, _ in calls:
+        tags.setdefault(pid, []).append(tag)
+    assert max(len(t) for t in tags.values()) > 1
+    assert all(len(set(t)) == 1 for t in tags.values()), tags
+
+    job = pa.concat_tables(
+        [pq.read_table(f) for f in sorted(glob.glob(f"{out}/decisions/*/*.parquet"))]
+    ).sort_by("url")
+    flagship = pa.concat_tables(
+        ray.get(build_quality_filter(pages, cfg).to_arrow_refs())
+    ).sort_by("url")
+    assert set(job.column("lang_id").to_pylist()) <= {"en", "de", "fr", "und"}
+    assert job.equals(flagship)
 
 
 def test_ft_hash_sign_extends_high_bytes():

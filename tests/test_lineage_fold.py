@@ -1,12 +1,13 @@
-"""Lineage folded inside the job's Parquet write: the fold kernel on a
-hand-built block, the commit-time row check, the Arrow fragment-id kernel,
-and a job whose lineage records must equal an independent recount of the
-written decisions files."""
+"""Lineage of the resumable job: the fold kernel on a hand-built block, and
+jobs whose lineage must equal an independent recount of the written
+decisions files, whose row check and commit order hold per fragment, and
+whose fragments keep one decisions file each."""
 
 import collections
 import glob
 import json
 import os
+import sys
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -14,15 +15,13 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
-from safe_zone_ray.sources.pages_io import PAGES_COLUMNS
+import safe_zone_ray.pipelines.quality_filter as qf
+from safe_zone_ray.pipelines.quality_filter import PipelineConfig, quality_stages
 from safe_zone_ray.state import lineage
-from safe_zone_ray.state.lineage import (
-    _tag_fragment,
-    fold_lineage,
-    fragment_id_of,
-    merge_lineage,
-    run_job,
-)
+from safe_zone_ray.state.lineage import fold_lineage, fragment_id_of, run_job
+
+# the kernel wrapper below runs in Ray workers, which cannot import this file
+ray.cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 _BREAKDOWN = pa.map_(pa.string(), pa.int32())
 
@@ -62,38 +61,13 @@ def test_fold_hand_built_block():
 
 
 def test_fold_of_slices_merges_to_fold_of_whole():
-    """Ray hands the sink sliced, multi-chunk blocks; partials of any split
-    merge to the whole block's counts."""
+    """A fragment's decisions arrive in several chunks (row groups, kernel
+    output); the fold of any split equals the fold of the whole block."""
     t = _block()
     chunked = pa.concat_tables([t.slice(3), t.slice(0, 1), t.slice(1, 2)])
     assert chunked.column("breakdown").num_chunks == 3
-    whole = _plain(fold_lineage(t))
-    assert _plain(fold_lineage(chunked)) == whole
-    parts = [fold_lineage(t.slice(i, 1)) for i in range(t.num_rows)]
-    assert _plain(merge_lineage(parts + [{}])) == whole
+    assert _plain(fold_lineage(chunked)) == _plain(fold_lineage(t))
     assert fold_lineage(t.slice(0, 0)) == {}
-
-
-@pytest.mark.parametrize(
-    "path",
-    [
-        "/data/pages/pages-00001.parquet",
-        "/data/v1.2/part-0.parquet",  # dotted directory name
-        "/data/pages/noext",  # no extension
-        "/data/pages/a.b.c.parquet",  # several dots in the file name
-        "/data/pages/a..b",
-        "/data/pages/a.",
-        "/data/pages/.hidden",
-        "/data/pages/..a.b",
-        "/data/pages/...",
-        "relative.parquet",
-        "/data/pages/",
-    ],
-)
-def test_tag_fragment_matches_fragment_id_of(path):
-    tagged = _tag_fragment(pa.table({"path": [path, path], "url": ["u", None]}))
-    assert tagged.column_names == ["url", "fragment_id"]
-    assert tagged.column("fragment_id").to_pylist() == [fragment_id_of(path)] * 2
 
 
 @pytest.fixture(scope="module")
@@ -133,29 +107,30 @@ def _recount(out_dir: str, frag: str) -> dict:
     }
 
 
-def _split_read(paths, include_paths=False, columns=None):
-    """Each file read as two blocks, so each fragment's rows are written by
-    several tasks and its lineage merges several partials."""
-    return ray.data.read_parquet(
-        paths,
-        columns=columns or PAGES_COLUMNS,
-        include_paths=include_paths,
-        override_num_blocks=2 * len(paths),
-    )
+def _fragments(pages):
+    return sorted(glob.glob(os.path.join(pages, "*.parquet")))
 
 
-def test_job_lineage_equals_recount_of_written_files(pages, tmp_path, monkeypatch):
-    monkeypatch.setattr(lineage, "read_pages", _split_read)
+def _committed(out: str, frag: str) -> dict[str, bool]:
+    part = os.path.join(out, "decisions", f"fragment_id={frag}")
+    return {
+        "manifest": os.path.exists(os.path.join(out, "_manifest", f"{frag}.json")),
+        "lineage": os.path.exists(os.path.join(out, "_lineage", f"{frag}.json")),
+        "decisions": bool(glob.glob(os.path.join(part, "*.parquet"))),
+    }
+
+
+def test_job_lineage_equals_recount_of_written_files(pages, tmp_path):
     out = str(tmp_path / "job")
     result = run_job(pages, out)
-    inputs = sorted(glob.glob(os.path.join(pages, "*.parquet")))
+    inputs = _fragments(pages)
     assert result.fragments_processed == len(inputs) == 2
     for path in inputs:
         frag = fragment_id_of(path)
         with open(os.path.join(out, "_lineage", f"{frag}.json")) as f:
             rec = json.load(f)
         want = _recount(out, frag)
-        assert want.pop("files") > 1, "fragment written by one task: nothing merged"
+        assert want.pop("files") == 1
         assert {k: rec[k] for k in want} == want
         assert want["rows"] == pq.ParquetFile(path).metadata.num_rows
         assert rec["input_path"] == path and rec["fragment_id"] == frag
@@ -164,11 +139,25 @@ def test_job_lineage_equals_recount_of_written_files(pages, tmp_path, monkeypatc
 
 
 def test_default_plan_writes_one_file_per_fragment(pages, tmp_path):
-    """The default read plan gives each input file one block and one task,
-    so each fragment directory holds exactly one decisions file."""
+    """Each fragment directory holds exactly one decisions file, also when
+    the fragment's task runs again within the invocation (a Ray retry, a
+    late straggler): it rewrites the same file with the same bytes and
+    leaves no temporary file."""
     out = str(tmp_path / "job")
     run_job(pages, out)
-    for path in sorted(glob.glob(os.path.join(pages, "*.parquet"))):
+    path = _fragments(pages)[0]
+    frag = fragment_id_of(path)
+    (first,) = glob.glob(os.path.join(out, "decisions", f"fragment_id={frag}", "*"))
+    with open(first, "rb") as f:
+        before = f.read()
+    rows = pq.ParquetFile(path).metadata.num_rows
+    stages = quality_stages(PipelineConfig())
+    again = [lineage._run_fragment.remote(path, frag, rows, first, stages) for _ in range(2)]
+    assert [c["n"]["rows"] for c in ray.get(again)] == [rows, rows]
+    assert glob.glob(os.path.join(os.path.dirname(first), "*")) == [first]
+    with open(first, "rb") as f:
+        assert f.read() == before
+    for path in _fragments(pages):
         frag = fragment_id_of(path)
         want = _recount(out, frag)
         assert want.pop("files") == 1
@@ -177,20 +166,73 @@ def test_default_plan_writes_one_file_per_fragment(pages, tmp_path):
         assert {k: rec[k] for k in want} == want
 
 
+class DropOneRow:
+    """Test-only decide kernel: drops the first row of a block that starts
+    with ``url``."""
+
+    def __init__(self, fn, url: str):
+        self.fn, self.url = fn, url
+
+    def __call__(self, batch: pa.Table, **kwargs) -> pa.Table:
+        out = self.fn(batch, **kwargs)
+        return out.slice(1) if out.column("url")[0].as_py() == self.url else out
+
+
 def test_row_mismatch_commits_no_manifest(pages, tmp_path, monkeypatch):
-    """Folded rows that disagree with the input file's footer stop the
-    commit: the error names the fragment and its manifest is not written."""
-    victim = fragment_id_of(sorted(glob.glob(os.path.join(pages, "*.parquet")))[0])
-    merge = lineage.merge_lineage
-
-    def short_merge(partials):
-        merged = merge(partials)
-        merged[victim]["n"]["rows"] -= 1
-        return merged
-
-    monkeypatch.setattr(lineage, "merge_lineage", short_merge)
+    """A fragment whose decision rows disagree with its input footer is not
+    committed: the error names it, it gets no decisions file, lineage or
+    manifest, and the other fragment still commits."""
+    victim, other = _fragments(pages)
+    url = pq.read_table(victim, columns=["url"]).column("url")[0].as_py()
+    monkeypatch.setattr(qf, "decide_batch", DropOneRow(qf.decide_batch, url))
     out = str(tmp_path / "job")
-    with pytest.raises(RuntimeError, match=victim):
-        run_job(pages, out, max_fragments=1)
-    assert not os.path.exists(os.path.join(out, "_manifest", f"{victim}.json"))
-    assert not os.path.exists(os.path.join(out, "_lineage", f"{victim}.json"))
+    with pytest.raises(RuntimeError, match=fragment_id_of(victim)):
+        run_job(pages, out)
+    assert _committed(out, fragment_id_of(victim)) == dict.fromkeys(
+        ("manifest", "lineage", "decisions"), False
+    )
+    assert _committed(out, fragment_id_of(other)) == dict.fromkeys(
+        ("manifest", "lineage", "decisions"), True
+    )
+
+
+def test_lineage_write_failure_commits_no_manifest(pages, tmp_path, monkeypatch):
+    """The manifest is written only once the fragment's lineage record is:
+    a lineage write that fails leaves that fragment uncommitted."""
+    victim = fragment_id_of(_fragments(pages)[0])
+    out = str(tmp_path / "job")
+    write = lineage.write_json_atomic
+
+    def failing_write(path, obj, indent=None):
+        if path == os.path.join(out, "_lineage", f"{victim}.json"):
+            raise OSError(f"injected lineage write failure for {victim}")
+        write(path, obj, indent)
+
+    monkeypatch.setattr(lineage, "write_json_atomic", failing_write)
+    with pytest.raises(OSError, match=victim):
+        run_job(pages, out)
+    assert not _committed(out, victim)["manifest"]
+    assert not _committed(out, victim)["lineage"]
+
+
+def test_empty_input_commits_zero_rows(pages, tmp_path):
+    """An input file with no rows commits ``rows: 0`` and writes no
+    decisions file."""
+    src = tmp_path / "pages"
+    src.mkdir()
+    full = _fragments(pages)[0]
+    table = pq.read_table(full)
+    pq.write_table(table, str(src / "a.parquet"))
+    pq.write_table(table.slice(0, 0), str(src / "b.parquet"))
+    out = str(tmp_path / "job")
+    result = run_job(str(src), out)
+    assert result.fragments_processed == 2
+    assert result.rows_processed == table.num_rows
+    with open(os.path.join(out, "_manifest", "b.json")) as f:
+        assert json.load(f) == {"fragment_id": "b", "rows": 0}
+    with open(os.path.join(out, "_lineage", "b.json")) as f:
+        rec = json.load(f)
+    assert (rec["rows"], rec["kept"], rec["dropped"], rec["contains_pii"]) == (0, 0, 0, 0)
+    assert rec["drop_reason_hist"] == {} and rec["detection_type_hist"] == {}
+    assert _committed(out, "b")["decisions"] is False
+    assert _committed(out, "a")["decisions"] is True
