@@ -21,10 +21,16 @@ The unit of checkpointing is one input Parquet file (fragment). A run:
 3. reads every remaining input footer, then submits one plain Ray task per
    fragment: it reads the file, runs the stage chain, folds the lineage
    counters, checks the folded rows against the footer's row count, and only
-   then writes the fragment's one decisions file (tmp + fsync + rename);
-4. as each task returns, writes that fragment's lineage then manifest record,
-   so no fragment's commit waits for another's and a kill loses only the
-   fragments still in flight.
+   then writes the fragment's one decisions file (tmp + fsync + rename).
+   When the invocation has fewer fragments than the cluster has CPUs, each
+   fragment is cut into contiguous row ranges (at most CPUs // fragments of
+   them, none under ``SPLIT_FLOOR_ROWS`` rows): the driver submits a task per
+   later range, and the fragment's task runs the first range itself, then
+   appends the later ranges' outputs in order before the same fold, check
+   and single write;
+4. as each fragment's task returns, writes that fragment's lineage then
+   manifest record, so no fragment's commit waits for another's and a kill
+   loses only the fragments still in flight.
 
 Kernels are deterministic (hash-derived placeholders, pure functions of the
 row), so a resumed run produces output identical to an uninterrupted one.
@@ -153,17 +159,50 @@ def _clean_uncommitted(out_dir: str, done: set[str]) -> None:
             os.remove(tmp)
 
 
+# A fragment is cut into row ranges only while every range keeps at least
+# this many rows. Warm single-thread ``run_chain`` per call on seed-31
+# benchmark pages (4-CPU host): 125 rows 15.6 ms, 250 19.2, 500 26.0,
+# 1,000 40.8, 2,000 68.6, i.e. about 12 ms fixed (8-10 ms of it detect's,
+# by ``scripts/kernel_us.py``'s ``fixed_us``) plus 28 us/row, so a range
+# under ~425 rows spends more on the fixed cost than on its rows. ``run_job`` medians over 15 invocations of
+# 2 fragments on a 4-CPU Ray, unsplit -> 2 ranges each: 2,000-row fragments
+# 99.7 -> 84.7 ms (1,000-row ranges), 1,000-row 64.8 -> 59.7 ms (500-row
+# ranges), 500-row 48.0 -> 47.2 ms (250-row ranges, inside the noise).
+SPLIT_FLOOR_ROWS = 500
+
+
+def _row_ranges(rows: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` contiguous ``(offset, length)`` ranges covering ``rows``."""
+    bounds = [rows * i // parts for i in range(parts + 1)]
+    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
 @ray.remote
-def _run_fragment(path: str, frag: str, rows_want: int, dest: str, stages) -> dict:
+def _run_range(path: str, offset: int, length: int, stages) -> pa.Table:
+    """The stage chain over one later row range of a split fragment."""
+    return run_chain(pq.read_table(path, columns=PAGES_COLUMNS).slice(offset, length), stages)
+
+
+@ray.remote
+def _run_fragment(
+    path: str, frag: str, rows_want: int, dest: str, stages, head_rows=None, rest=()
+) -> dict:
     """Read one fragment, run the stage chain, fold and check its lineage,
     then write its decisions to ``dest``; returns the fold. A fragment whose
     folded rows disagree with its input footer raises and leaves no file.
     ``dest`` is fixed for every attempt of the task, so a Ray retry or a
-    late straggler rewrites the same bytes instead of adding rows."""
+    late straggler rewrites the same bytes instead of adding rows.
+
+    A split fragment's task runs the chain on its first ``head_rows`` rows
+    only and appends, in order, the outputs of the ``_run_range`` tasks in
+    ``rest`` (their refs come inside a list, so Ray does not wait for them
+    before this task starts)."""
     table = pq.read_table(path, columns=PAGES_COLUMNS)
+    if head_rows is not None:
+        table = table.slice(0, head_rows)
     counts = _new_counts()
     if table.num_rows:
-        table = run_chain(table, stages)
+        table = pa.concat_tables([run_chain(table, stages), *ray.get(list(rest))])
         tagged = table.append_column("fragment_id", pa.repeat(frag, table.num_rows))
         counts = fold_lineage(tagged).get(frag, counts)
     if counts["n"]["rows"] != rows_want:
@@ -190,7 +229,10 @@ def run_job(
     max_fragments: int | None = None,
 ) -> JobResult:
     """Run (or resume) the quality-filter job: one Ray task per fragment
-    still to do, each fragment committed as soon as its task returns. If a
+    still to do, each fragment committed as soon as its task returns. With
+    fewer fragments than cluster CPUs, each fragment's rows are spread over
+    ``CPUs // fragments`` range tasks (fewer if a range would fall under
+    ``SPLIT_FLOOR_ROWS``) whose outputs its task joins into its one file. If a
     task fails, the fragments that finished are committed and the first
     failure is raised. ``max_fragments`` bounds how many NEW fragments are
     processed this invocation (used by the resume test to simulate a kill
@@ -232,11 +274,18 @@ def run_job(
     # one decisions file per fragment, named for this invocation
     name = f"part-{uuid.uuid4().hex}.parquet"
     stages = quality_stages(cfg)
+    # fewer fragments than CPUs: cut each into row ranges, so that the
+    # chain tasks of the invocation are never more than its CPUs
+    per_fragment = int(ray.cluster_resources().get("CPU", 1)) // len(todo)
     pending = {}
     for path in todo:
         frag = fragment_id_of(path)
         dest = os.path.join(out_dir, "decisions", f"fragment_id={frag}", name)
-        pending[_run_fragment.remote(path, frag, rows_want[path], dest, stages)] = path
+        rows = rows_want[path]
+        parts = max(1, min(per_fragment, rows // SPLIT_FLOOR_ROWS))
+        (_, head), *tail = _row_ranges(rows, parts)
+        rest = [_run_range.remote(path, offset, n, stages) for offset, n in tail]
+        pending[_run_fragment.remote(path, frag, rows, dest, stages, head, rest)] = path
     error = None
     while pending:
         [ref], _ = ray.wait(list(pending))

@@ -8,9 +8,13 @@ Reads one page file whole with the flagship read's own read task
 decide once to warm every cache, then times each kernel on its own chained
 input. Prints one JSON line: per kernel, and for the read task under
 ``read``, the median of 9 calls in µs per row, plus the block's row count,
-and under ``per_call_us`` each kernel's fixed cost per call: the median of 9
-calls on a 1-row slice of its input, in µs. pyarrow compiles a regex on
-every kernel call, so that cost shows there.
+under ``per_call_us`` the median of 9 calls on a 1-row slice of its input,
+in µs, and under ``fixed_us`` each kernel's fixed cost per call: the
+intercept, in µs, of the line through its median call times on the whole
+block and on its first eighth (250 rows of a 2,000-row file). pyarrow
+compiles a regex on every kernel call, so that cost shows in both; on a
+1-row slice detect's prefilter skips most of its scans, so ``per_call_us``
+reads lower than ``fixed_us``.
 """
 
 from __future__ import annotations
@@ -52,11 +56,16 @@ def main(path: str) -> dict:
     (read_task,) = PagesDatasource(path).get_read_tasks(1)
     seconds, (block,) = _median_call(lambda _: list(read_task()), None)
     rows = max(block.num_rows, 1)
-    out = {"rows": block.num_rows, "read": round(seconds * 1e6 / rows, 2), "per_call_us": {}}
+    out = {"rows": block.num_rows, "read": round(seconds * 1e6 / rows, 2), "per_call_us": {},
+           "fixed_us": {}}
+    part = max(1, rows // 8)
     for name, fn in kernels.items():
         seconds, result = _median_call(fn, block)
         out[name] = round(seconds * 1e6 / rows, 2)
         out["per_call_us"][name] = round(_median_call(fn, block.slice(0, 1))[0] * 1e6, 1)
+        part_s = _median_call(fn, block.slice(0, part))[0]
+        per_row = (seconds - part_s) / (rows - part) if rows > part else 0.0
+        out["fixed_us"][name] = round((part_s - part * per_row) * 1e6, 1)
         block = result
     return out
 

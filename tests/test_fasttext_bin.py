@@ -170,7 +170,7 @@ def test_job_loads_fasttext_once_per_worker(ray_session, sf_dir, tmp_path, monke
     from safe_zone_ray.state.lineage import run_job
 
     path, *_ = _toy_model(tmp_path)
-    # 500 docs x 4 variants / 125 rows per file -> 17 fragments, more than
+    # 500 docs x 4 variants / 125 rows per file -> 16 fragments, more than
     # the session has worker processes, so some process scores several
     pages = synthesize_pages_dir(
         sf_dir,

@@ -30,7 +30,7 @@ ray.cloudpickle.register_pickle_by_value(sys.modules[__name__])
 def pages(ray_session, sf_dir):
     from safe_zone_ray.pages import synthesize_pages_dir
 
-    # 500 docs x 4 variants / 250 rows per file -> 9 fragments
+    # 500 docs x 4 variants / 250 rows per file -> 8 fragments
     return synthesize_pages_dir(
         sf_dir,
         out_dir="/tmp/szr_pages_kill",

@@ -1,6 +1,8 @@
 """Smoke test of scripts/kernel_us.py on the sf0.001 pages: one JSON line
-with a positive µs/doc and a positive fixed cost per call (1-row slice) for
-each of the four stage kernels, and a positive µs/doc for the read task."""
+with a positive µs/doc, a positive cost per call on a 1-row slice and a
+positive fitted fixed cost per call for each of the four stage kernels, and
+a positive µs/doc for the read task. Detect's fitted fixed cost is at least
+its 1-row cost: its prefilter skips most scans on one row."""
 
 import json
 import os
@@ -23,4 +25,7 @@ def test_kernel_us_prints_every_kernel(sf_dir):
     for kernel in ("extract", "langquality", "detect", "decide"):
         assert out[kernel] > 0, kernel
         assert out["per_call_us"][kernel] > 0, kernel
+        assert out["fixed_us"][kernel] > 0, kernel
     assert set(out["per_call_us"]) == {"extract", "langquality", "detect", "decide"}
+    assert set(out["fixed_us"]) == set(out["per_call_us"])
+    assert out["fixed_us"]["detect"] >= out["per_call_us"]["detect"]
