@@ -226,19 +226,15 @@ def synthesize_pages_dir(
     # every file holds exactly rows_per_file pages, the last one possibly
     # fewer: pages are doc-major and a pure function of (doc_id, variant), so
     # a file may start or end inside a document's variants
-    docs_per_chunk = -(-rows_per_file // variants)
-    pending = PAGES_SCHEMA.empty_table()
-    frag = 0
-    for offset in range(0, docs.num_rows, docs_per_chunk):
-        chunk = pages_from_documents_batch(docs.slice(offset, docs_per_chunk), variants=variants)
-        pending = pa.concat_tables([pending, chunk]).combine_chunks()
-        last = offset + docs_per_chunk >= docs.num_rows
-        while pending.num_rows >= rows_per_file or (last and pending.num_rows):
-            pq.write_table(
-                pending.slice(0, rows_per_file), os.path.join(out_dir, f"pages-{frag:05d}.parquet")
-            )
-            pending = pending.slice(rows_per_file)
-            frag += 1
+    n_pages = docs.num_rows * variants
+    for frag, start in enumerate(range(0, n_pages, rows_per_file)):
+        lo = start // variants
+        hi = -(-min(start + rows_per_file, n_pages) // variants)
+        pages = pages_from_documents_batch(docs.slice(lo, hi - lo), variants=variants)
+        pq.write_table(
+            pages.slice(start - lo * variants, rows_per_file),
+            os.path.join(out_dir, f"pages-{frag:05d}.parquet"),
+        )
     with open(done_marker, "w") as f:
         f.write(GENERATOR_VERSION)
     return out_dir

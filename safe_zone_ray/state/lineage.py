@@ -164,10 +164,11 @@ def _clean_uncommitted(out_dir: str, done: set[str]) -> None:
 # benchmark pages (4-CPU host): 125 rows 15.6 ms, 250 19.2, 500 26.0,
 # 1,000 40.8, 2,000 68.6, i.e. about 12 ms fixed (8-10 ms of it detect's,
 # by ``scripts/kernel_us.py``'s ``fixed_us``) plus 28 us/row, so a range
-# under ~425 rows spends more on the fixed cost than on its rows. ``run_job`` medians over 15 invocations of
-# 2 fragments on a 4-CPU Ray, unsplit -> 2 ranges each: 2,000-row fragments
-# 99.7 -> 84.7 ms (1,000-row ranges), 1,000-row 64.8 -> 59.7 ms (500-row
-# ranges), 500-row 48.0 -> 47.2 ms (250-row ranges, inside the noise).
+# under ~425 rows spends more on the fixed cost than on its rows.
+# ``run_job`` medians over 15 invocations of 2 fragments on a 4-CPU Ray,
+# unsplit -> 2 ranges each: 2,000-row fragments 99.7 -> 84.7 ms (1,000-row
+# ranges), 1,000-row 64.8 -> 59.7 ms (500-row ranges), 500-row 48.0 ->
+# 47.2 ms (250-row ranges, inside the noise).
 SPLIT_FLOOR_ROWS = 500
 
 
